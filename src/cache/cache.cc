@@ -259,57 +259,27 @@ Cache::reset()
     st = CacheStats{};
 }
 
+template <class Ar>
 void
-Cache::serialize(Serializer &s) const
+Cache::io(Ar &ar)
 {
-    s.putU64(lines.size());
-    for (const Line &line : lines) {
-        s.putU64(line.tag);
-        s.putBool(line.valid);
-        s.putBool(line.dirty);
-        s.putBool(line.eagerClean);
-        s.putU64(line.lastUse);
+    ar.check(lines.size(), "checkpoint cache geometry mismatch: ", p.name);
+    for (Line &line : lines) {
+        ar.u64(line.tag);
+        ar.flag(line.valid, line.dirty, line.eagerClean);
+        ar.u64(line.lastUse);
     }
-    s.putU64(posHits.size());
-    for (const std::uint64_t h : posHits)
-        s.putU64(h);
-    s.putU64(useCounter);
-    s.putU64(scanCursor);
-    s.putU64(sinceDecay);
-    s.putU64(st.accesses);
-    s.putU64(st.hits);
-    s.putU64(st.evictions);
-    s.putU64(st.dirtyEvictions);
-    s.putU64(st.eagerCleaned);
-    s.putU64(st.rewrites);
+    ar.check(posHits.size(), "checkpoint cache way-count mismatch: ",
+             p.name);
+    for (std::uint64_t &h : posHits)
+        ar.u64(h);
+    ar.u64(useCounter, scanCursor, sinceDecay);
+    ar.u64(st.accesses, st.hits, st.evictions, st.dirtyEvictions,
+           st.eagerCleaned, st.rewrites);
 }
 
-void
-Cache::deserialize(Deserializer &d)
-{
-    if (d.getU64() != lines.size())
-        mct_panic("checkpoint cache geometry mismatch: ", p.name);
-    for (Line &line : lines) {
-        line.tag = d.getU64();
-        line.valid = d.getBool();
-        line.dirty = d.getBool();
-        line.eagerClean = d.getBool();
-        line.lastUse = d.getU64();
-    }
-    if (d.getU64() != posHits.size())
-        mct_panic("checkpoint cache way-count mismatch: ", p.name);
-    for (std::uint64_t &h : posHits)
-        h = d.getU64();
-    useCounter = d.getU64();
-    scanCursor = d.getU64();
-    sinceDecay = d.getU64();
-    st.accesses = d.getU64();
-    st.hits = d.getU64();
-    st.evictions = d.getU64();
-    st.dirtyEvictions = d.getU64();
-    st.eagerCleaned = d.getU64();
-    st.rewrites = d.getU64();
-}
+template void Cache::io(Serializer &);
+template void Cache::io(Deserializer &);
 
 void
 Cache::registerStats(StatRegistry &reg, const std::string &prefix) const

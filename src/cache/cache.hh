@@ -22,8 +22,6 @@ namespace mct
 {
 
 class StatRegistry;
-class Serializer;
-class Deserializer;
 
 /** Geometry of one cache level. */
 struct CacheParams
@@ -125,11 +123,10 @@ class Cache
     /** Invalidate everything and clear statistics. */
     void reset();
 
-    /** Checkpoint lines, LRU clocks, histogram, and statistics. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same geometry). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint lines, LRU clocks, histogram, and statistics
+     *  (restore requires the same geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     struct Line

@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include "common/instrument.hh"
+#include "common/serialize.hh"
 
 namespace mct
 {
@@ -90,21 +91,17 @@ CacheHierarchy::reset()
     l3->reset();
 }
 
+template <class Ar>
 void
-CacheHierarchy::serialize(Serializer &s) const
+CacheHierarchy::io(Ar &ar)
 {
-    l1.serialize(s);
-    l2.serialize(s);
-    l3->serialize(s);
+    l1.io(ar);
+    l2.io(ar);
+    l3->io(ar);
 }
 
-void
-CacheHierarchy::deserialize(Deserializer &d)
-{
-    l1.deserialize(d);
-    l2.deserialize(d);
-    l3->deserialize(d);
-}
+template void CacheHierarchy::io(Serializer &);
+template void CacheHierarchy::io(Deserializer &);
 
 void
 CacheHierarchy::registerStats(StatRegistry &reg,

@@ -19,8 +19,6 @@ namespace mct
 {
 
 class SpanTrace;
-class Serializer;
-class Deserializer;
 
 /** Geometry of all levels. */
 struct HierarchyParams
@@ -84,11 +82,10 @@ class CacheHierarchy
     /** Record per-level probe marks on sampled request spans. */
     void attachSpans(SpanTrace *t) { spans = t; }
 
-    /** Checkpoint all three levels (L3 included, shared or not). */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same geometry). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint all three levels (L3 included, shared or not;
+     *  restore requires the same geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     Cache l1;

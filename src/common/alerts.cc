@@ -543,78 +543,52 @@ AlertEngine::writeJsonl(std::ostream &os) const
     }
 }
 
+template <class Ar>
+void
+AlertEngine::io(Ar &ar)
+{
+    // The event trace, escalation hook and registry cells are wiring,
+    // re-attached by enable() and the harness after reconstruction.
+    ar.check(armed_, "checkpoint AlertEngine configuration mismatch");
+    ar.check(rules_.size(), "checkpoint AlertEngine configuration mismatch");
+    ar.check(logCap_, "checkpoint AlertEngine configuration mismatch");
+    ar.flag(bound_);
+    ar.u64(windowIdx_, nRaised_, nCleared_);
+    for (std::uint64_t &n : raisedBySev_)
+        ar.u64(n);
+    ar.seq(insts_, [&ar](Inst &in) {
+        ar.u32(in.rule);
+        ar.str(in.metric);
+        ar.f64(in.prev, in.ewma);
+        ar.u64(in.seen);
+        ar.u32(in.streak, in.activeFor);
+        ar.flag(in.isActive);
+    });
+    ar.ring(logHead_, logHeld_, logCap_);
+    ar.u64(logTotal_);
+    for (LogEntry &e : logRing_) {
+        ar.flag(e.raisedEv);
+        ar.u32(e.rule);
+        ar.u64(e.window, e.inst);
+        ar.f64(e.value);
+        ar.u32(e.windowsActive);
+        ar.str(e.metric);
+    }
+}
+
+template void AlertEngine::io(Serializer &);
+template void AlertEngine::io(Deserializer &);
+
 void
 AlertEngine::serialize(Serializer &s) const
 {
-    s.putBool(armed_);
-    s.putU64(rules_.size());
-    s.putU64(logCap_);
-    s.putBool(bound_);
-    s.putU64(windowIdx_);
-    s.putU64(nRaised_);
-    s.putU64(nCleared_);
-    for (const std::uint64_t n : raisedBySev_)
-        s.putU64(n);
-    s.putU64(insts_.size());
-    for (const Inst &in : insts_) {
-        s.putU32(in.rule);
-        s.putStr(in.metric);
-        s.putF64(in.prev);
-        s.putF64(in.ewma);
-        s.putU64(in.seen);
-        s.putU32(in.streak);
-        s.putU32(in.activeFor);
-        s.putBool(in.isActive);
-    }
-    s.putU64(logHead_);
-    s.putU64(logHeld_);
-    s.putU64(logTotal_);
-    for (const LogEntry &e : logRing_) {
-        s.putBool(e.raisedEv);
-        s.putU32(e.rule);
-        s.putU64(e.window);
-        s.putU64(e.inst);
-        s.putF64(e.value);
-        s.putU32(e.windowsActive);
-        s.putStr(e.metric);
-    }
+    const_cast<AlertEngine *>(this)->io(s);
 }
 
 void
 AlertEngine::deserialize(Deserializer &d)
 {
-    if (d.getBool() != armed_ || d.getU64() != rules_.size() ||
-        d.getU64() != logCap_)
-        mct_panic("checkpoint AlertEngine configuration mismatch");
-    bound_ = d.getBool();
-    windowIdx_ = d.getU64();
-    nRaised_ = d.getU64();
-    nCleared_ = d.getU64();
-    for (std::uint64_t &n : raisedBySev_)
-        n = d.getU64();
-    insts_.resize(d.getU64());
-    for (Inst &in : insts_) {
-        in.rule = d.getU32();
-        in.metric = d.getStr();
-        in.prev = d.getF64();
-        in.ewma = d.getF64();
-        in.seen = d.getU64();
-        in.streak = d.getU32();
-        in.activeFor = d.getU32();
-        in.isActive = d.getBool();
-    }
-    logHead_ = static_cast<std::size_t>(d.getU64());
-    logHeld_ = static_cast<std::size_t>(d.getU64());
-    logTotal_ = d.getU64();
-    for (LogEntry &e : logRing_) {
-        e.raisedEv = d.getBool();
-        e.rule = d.getU32();
-        e.window = d.getU64();
-        e.inst = d.getU64();
-        e.value = d.getF64();
-        e.windowsActive = d.getU32();
-        e.metric = d.getStr();
-    }
+    io(d);
 }
 
 } // namespace mct

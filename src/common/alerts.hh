@@ -209,11 +209,14 @@ class AlertEngine
     /** One JSON object per held log entry (alerts.jsonl). */
     void writeJsonl(std::ostream &os) const;
 
-    /** Checkpoint bindings, streaks, counters, and the log ring. */
-    void serialize(Serializer &s) const;
+    /** Checkpoint bindings, streaks, counters, and the log ring; the
+     *  rule count and log capacity must match the current enable()
+     *  configuration. */
+    template <class Ar>
+    void io(Ar &ar);
 
-    /** Restore state written by serialize(); the rule count and log
-     *  capacity must match the current enable() configuration. */
+    /** io() for callers outside a template. */
+    void serialize(Serializer &s) const;
     void deserialize(Deserializer &d);
 
   private:

@@ -1622,372 +1622,202 @@ HostProfiler::writeChromeTrace(std::ostream &os) const
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint serialization. Every method pairs with a deserialize()
-// that restores the exact private state, so a resumed run re-produces
-// an uninterrupted run's output byte for byte.
+// Checkpoint serialization: one io body per class names each field
+// once for both archives, so a resumed run re-produces an
+// uninterrupted run's output byte for byte.
 // ---------------------------------------------------------------------
 
+template <class Ar>
 void
-LogHistogram::serialize(Serializer &s) const
-{
-    for (const std::uint64_t b : buckets_)
-        s.putU64(b);
-    s.putU64(n);
-    s.putF64(total);
-}
-
-void
-LogHistogram::deserialize(Deserializer &d)
+LogHistogram::io(Ar &ar)
 {
     for (std::uint64_t &b : buckets_)
-        b = d.getU64();
-    n = d.getU64();
-    total = d.getF64();
+        ar.u64(b);
+    ar.u64(n);
+    ar.f64(total);
 }
 
+template <class Ar>
 void
-serializeSnapshot(Serializer &s, const StatSnapshot &snap)
+StatRegistry::ioOwned(Ar &ar)
 {
-    s.putU64(snap.size());
-    for (const auto &[path, v] : snap) {
-        s.putStr(path);
-        s.putU8(static_cast<std::uint8_t>(v.kind));
-        s.putF64(v.num);
-        s.putU64(v.count);
-        s.putU64(v.buckets.size());
-        for (const std::uint64_t b : v.buckets)
-            s.putU64(b);
-    }
-}
-
-StatSnapshot
-deserializeSnapshot(Deserializer &d)
-{
-    StatSnapshot snap;
-    const std::uint64_t count = d.getU64();
-    for (std::uint64_t i = 0; i < count && d.ok(); ++i) {
-        std::string path = d.getStr();
-        StatValue v;
-        v.kind = static_cast<StatKind>(d.getU8());
-        v.num = d.getF64();
-        v.count = d.getU64();
-        v.buckets.resize(d.getU64());
-        for (std::uint64_t &b : v.buckets)
-            b = d.getU64();
-        snap.emplace(std::move(path), std::move(v));
-    }
-    return snap;
-}
-
-void
-StatRegistry::serializeOwned(Serializer &s) const
-{
+    // Owned entries travel as (path, tag, value); the writer walks the
+    // registry and the reader finds each entry again by its path.
     std::uint64_t owned = 0;
-    for (const auto &[path, e] : entries)
-        if (e.cell || e.hist)
+    for (const auto &kv : entries)
+        if (kv.second.cell || kv.second.hist)
             ++owned;
-    s.putU64(owned);
-    for (const auto &[path, e] : entries) {
-        if (e.cell) {
-            s.putStr(path);
-            s.putU8(1);
-            s.putU64(*e.cell);
-        } else if (e.hist) {
-            s.putStr(path);
-            s.putU8(2);
-            e.hist->serialize(s);
-        }
-    }
-}
-
-void
-StatRegistry::deserializeOwned(Deserializer &d)
-{
-    const std::uint64_t owned = d.getU64();
-    for (std::uint64_t i = 0; i < owned && d.ok(); ++i) {
-        const std::string path = d.getStr();
-        const std::uint8_t tag = d.getU8();
-        auto it = entries.find(path);
-        if (it == entries.end())
-            mct_panic("checkpoint restores unregistered stat ", path);
-        if (tag == 1) {
-            if (!it->second.cell)
+    ar.u64(owned);
+    auto next = entries.begin();
+    for (std::uint64_t i = 0; i < owned; ++i) {
+        std::uint8_t tag = 0;
+        Entry *e = nullptr;
+        if constexpr (Ar::reading) {
+            std::string path;
+            ar.str(path);
+            ar.u8(tag);
+            if (!ar.ok())
+                return;
+            auto it = entries.find(path);
+            if (it == entries.end())
+                mct_panic("checkpoint restores unregistered stat ", path);
+            e = &it->second;
+            if (tag == 1 ? !e->cell : !e->hist)
                 mct_panic("checkpoint cell/histogram mismatch at ", path);
-            *it->second.cell = d.getU64();
         } else {
-            if (!it->second.hist)
-                mct_panic("checkpoint cell/histogram mismatch at ", path);
-            it->second.hist->deserialize(d);
+            while (!next->second.cell && !next->second.hist)
+                ++next;
+            e = &next->second;
+            tag = e->cell ? 1 : 2;
+            ar.str(next->first);
+            ar.u8(tag);
+            ++next;
         }
+        if (tag == 1)
+            ar.u64(*e->cell);
+        else
+            e->hist->io(ar);
     }
 }
 
-void
-EventTrace::serialize(Serializer &s) const
-{
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    for (const TraceEvent &e : ring) {
-        s.putU8(static_cast<std::uint8_t>(e.type));
-        s.putU64(e.inst);
-        for (const double a : e.args)
-            s.putF64(a);
-    }
-}
+template void StatRegistry::ioOwned(Serializer &);
+template void StatRegistry::ioOwned(Deserializer &);
 
+template <class Ar>
 void
-EventTrace::deserialize(Deserializer &d)
+EventTrace::io(Ar &ar)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint EventTrace capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
+    ar.check(cap, "checkpoint EventTrace capacity mismatch");
+    ar.ring(head, held, cap);
+    ar.u64(total);
     for (TraceEvent &e : ring) {
-        e.type = static_cast<TraceEventType>(d.getU8());
-        e.inst = d.getU64();
+        ar.u8(e.type);
+        ar.u64(e.inst);
         for (double &a : e.args)
-            a = d.getF64();
+            ar.f64(a);
     }
 }
+
+template void EventTrace::io(Serializer &);
+template void EventTrace::io(Deserializer &);
 
 namespace
 {
 
+template <class Ar>
 void
-serializeSpanRecord(Serializer &s, const SpanRecord &r)
+ioSpan(Ar &ar, SpanRecord &r)
 {
-    s.putU64(r.id);
-    s.putU64(r.addr);
-    s.putBool(r.isWrite);
-    s.putI64(r.hitLevel);
-    s.putU64(r.inst);
-    s.putU64(r.begin);
-    s.putU64(r.end);
-    for (const Tick t : r.enter)
-        s.putU64(t);
-    for (const Tick t : r.exit)
-        s.putU64(t);
-    s.putU8(r.present);
-}
-
-void
-deserializeSpanRecord(Deserializer &d, SpanRecord &r)
-{
-    r.id = d.getU64();
-    r.addr = d.getU64();
-    r.isWrite = d.getBool();
-    r.hitLevel = static_cast<int>(d.getI64());
-    r.inst = d.getU64();
-    r.begin = d.getU64();
-    r.end = d.getU64();
+    ar.u64(r.id, r.addr);
+    ar.flag(r.isWrite);
+    ar.i64(r.hitLevel);
+    ar.u64(r.inst, r.begin, r.end);
     for (Tick &t : r.enter)
-        t = d.getU64();
+        ar.u64(t);
     for (Tick &t : r.exit)
-        t = d.getU64();
-    r.present = d.getU8();
+        ar.u64(t);
+    ar.u8(r.present);
 }
 
 } // namespace
 
+template <class Ar>
 void
-SpanTrace::serialize(Serializer &s) const
+SpanTrace::io(Ar &ar)
 {
-    s.putU64(every);
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    s.putU64(curId);
-    s.putBool(curValid);
-    for (const SpanRecord &r : ring)
-        serializeSpanRecord(s, r);
-    s.putU64(open.size());
-    for (const auto &[id, o] : open) {
-        s.putU64(id);
-        serializeSpanRecord(s, o.rec);
-        s.putU8(o.openBits);
-    }
-}
-
-void
-SpanTrace::deserialize(Deserializer &d)
-{
-    if (d.getU64() != every || d.getU64() != cap)
-        mct_panic("checkpoint SpanTrace configuration mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    curId = d.getU64();
-    curValid = d.getBool();
+    ar.check(every, "checkpoint SpanTrace configuration mismatch");
+    ar.check(cap, "checkpoint SpanTrace configuration mismatch");
+    ar.ring(head, held, cap);
+    ar.u64(total, curId);
+    ar.flag(curValid);
     for (SpanRecord &r : ring)
-        deserializeSpanRecord(d, r);
-    open.clear();
-    const std::uint64_t nOpen = d.getU64();
-    for (std::uint64_t i = 0; i < nOpen && d.ok(); ++i) {
-        const std::uint64_t id = d.getU64();
-        OpenSpan o;
-        deserializeSpanRecord(d, o.rec);
-        o.openBits = d.getU8();
-        open.emplace(id, std::move(o));
-    }
+        ioSpan(ar, r);
+    ar.seq(open, [&ar](auto &kv) {
+        ar.u64(kv.first);
+        ioSpan(ar, kv.second.rec);
+        ar.u8(kv.second.openBits);
+    });
 }
 
-void
-ProvenanceRecord::serialize(Serializer &s) const
-{
-    s.putU64(seq);
-    s.putU64(phase);
-    s.putU64(inst);
-    s.putU64(closeInst);
-    s.putStr(model);
-    s.putStr(configKey);
-    s.putI64(chosen);
-    s.putBool(fallback);
-    s.putU32(sampledConfigs);
-    s.putF64(minLifetimeYears);
-    s.putF64(ipcFraction);
-    s.putF64(safetyMargin);
-    for (const ProvenanceObjective &o : objectives) {
-        s.putF64(o.predicted);
-        s.putF64(o.uncertainty);
-        s.putF64(o.realized);
-        s.putF64(o.relError);
-        s.putBool(o.errorValid);
-    }
-    s.putU64(runnerUps.size());
-    for (const ProvenanceCandidate &c : runnerUps) {
-        s.putU32(c.config);
-        s.putF64(c.ipc);
-        s.putF64(c.lifetimeYears);
-        s.putF64(c.energyJ);
-        s.putBool(c.feasible);
-    }
-    s.putF64(bestSampledIpc);
-    s.putF64(regret);
-    s.putF64(cumRegret);
-    for (const std::vector<double> &attr : attribution) {
-        s.putU64(attr.size());
-        for (const double a : attr)
-            s.putF64(a);
-    }
-    s.putBool(closed);
-}
+template void SpanTrace::io(Serializer &);
+template void SpanTrace::io(Deserializer &);
 
+template <class Ar>
 void
-ProvenanceRecord::deserialize(Deserializer &d)
+ProvenanceRecord::io(Ar &ar)
 {
-    seq = d.getU64();
-    phase = d.getU64();
-    inst = d.getU64();
-    closeInst = d.getU64();
-    model = d.getStr();
-    configKey = d.getStr();
-    chosen = static_cast<std::int32_t>(d.getI64());
-    fallback = d.getBool();
-    sampledConfigs = d.getU32();
-    minLifetimeYears = d.getF64();
-    ipcFraction = d.getF64();
-    safetyMargin = d.getF64();
+    ar.u64(seq, phase, inst, closeInst);
+    ar.str(model, configKey);
+    ar.i64(chosen);
+    ar.flag(fallback);
+    ar.u32(sampledConfigs);
+    ar.f64(minLifetimeYears, ipcFraction, safetyMargin);
     for (ProvenanceObjective &o : objectives) {
-        o.predicted = d.getF64();
-        o.uncertainty = d.getF64();
-        o.realized = d.getF64();
-        o.relError = d.getF64();
-        o.errorValid = d.getBool();
+        ar.f64(o.predicted, o.uncertainty, o.realized, o.relError);
+        ar.flag(o.errorValid);
     }
-    runnerUps.resize(d.getU64());
-    for (ProvenanceCandidate &c : runnerUps) {
-        c.config = d.getU32();
-        c.ipc = d.getF64();
-        c.lifetimeYears = d.getF64();
-        c.energyJ = d.getF64();
-        c.feasible = d.getBool();
-    }
-    bestSampledIpc = d.getF64();
-    regret = d.getF64();
-    cumRegret = d.getF64();
-    for (std::vector<double> &attr : attribution) {
-        attr.resize(d.getU64());
-        for (double &a : attr)
-            a = d.getF64();
-    }
-    closed = d.getBool();
+    ar.seq(runnerUps, [&ar](ProvenanceCandidate &c) {
+        ar.u32(c.config);
+        ar.f64(c.ipc, c.lifetimeYears, c.energyJ);
+        ar.flag(c.feasible);
+    });
+    ar.f64(bestSampledIpc, regret, cumRegret);
+    for (std::vector<double> &attr : attribution)
+        ar.seq(attr, [&ar](double &a) { ar.f64(a); });
+    ar.flag(closed);
 }
 
-void
-ProvenanceTrace::serialize(Serializer &s) const
-{
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    for (const ProvenanceRecord &r : ring)
-        r.serialize(s);
-}
+template void ProvenanceRecord::io(Serializer &);
+template void ProvenanceRecord::io(Deserializer &);
 
+template <class Ar>
 void
-ProvenanceTrace::deserialize(Deserializer &d)
+ProvenanceTrace::io(Ar &ar)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint ProvenanceTrace capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
+    ar.check(cap, "checkpoint ProvenanceTrace capacity mismatch");
+    ar.ring(head, held, cap);
+    ar.u64(total);
     for (ProvenanceRecord &r : ring)
-        r.deserialize(d);
+        r.io(ar);
 }
+
+template void ProvenanceTrace::io(Serializer &);
+template void ProvenanceTrace::io(Deserializer &);
+
+template <class Ar>
+void
+MetricTimeline::io(Ar &ar)
+{
+    // globs_ is enable()-time configuration pinned by the run
+    // fingerprint; the capacity check below cross-checks the rest.
+    ar.check(cap, "checkpoint MetricTimeline capacity mismatch");
+    ar.ring(head, held, cap);
+    ar.u64(total);
+    ar.flag(bound_);
+    ar.seq(names, [&ar](std::string &n) { ar.str(n); });
+    // One rollup per bound name; the names' count covers both.
+    rollups.resize(names.size());
+    for (Rollup &r : rollups)
+        ar.f64(r.ewma, r.min, r.max);
+    for (Window &w : ring) {
+        ar.u64(w.inst);
+        ar.seq(w.vals, [&ar](double &v) { ar.f64(v); });
+    }
+}
+
+template void MetricTimeline::io(Serializer &);
+template void MetricTimeline::io(Deserializer &);
 
 void
 MetricTimeline::serialize(Serializer &s) const
 {
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    s.putBool(bound_);
-    s.putU64(names.size());
-    for (const std::string &n : names)
-        s.putStr(n);
-    for (const Rollup &r : rollups) {
-        s.putF64(r.ewma);
-        s.putF64(r.min);
-        s.putF64(r.max);
-    }
-    for (const Window &w : ring) {
-        s.putU64(w.inst);
-        s.putU64(w.vals.size());
-        for (const double v : w.vals)
-            s.putF64(v);
-    }
+    const_cast<MetricTimeline *>(this)->io(s);
 }
 
 void
 MetricTimeline::deserialize(Deserializer &d)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint MetricTimeline capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    bound_ = d.getBool();
-    names.resize(d.getU64());
-    for (std::string &n : names)
-        n = d.getStr();
-    rollups.resize(names.size());
-    for (Rollup &r : rollups) {
-        r.ewma = d.getF64();
-        r.min = d.getF64();
-        r.max = d.getF64();
-    }
-    for (Window &w : ring) {
-        w.inst = d.getU64();
-        w.vals.resize(d.getU64());
-        for (double &v : w.vals)
-            v = d.getF64();
-    }
+    io(d);
 }
 
 } // namespace mct

@@ -108,10 +108,8 @@ class LogHistogram
     void reset();
 
     /** Checkpoint bucket counts and totals. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     std::array<std::uint64_t, numBuckets> buckets_{};
@@ -139,10 +137,19 @@ struct StatValue
 using StatSnapshot = std::map<std::string, StatValue>;
 
 /** Checkpoint a snapshot (map order makes the bytes deterministic). */
-void serializeSnapshot(Serializer &s, const StatSnapshot &snap);
-
-/** Restore a snapshot written by serializeSnapshot(). */
-StatSnapshot deserializeSnapshot(Deserializer &d);
+template <class Ar>
+void
+ioSnapshot(Ar &ar, StatSnapshot &snap)
+{
+    ar.seq(snap, [&ar](auto &entry) {
+        StatValue &v = entry.second;
+        ar.str(entry.first);
+        ar.u8(v.kind);
+        ar.f64(v.num);
+        ar.u64(v.count);
+        ar.seq(v.buckets, [&ar](std::uint64_t &b) { ar.u64(b); });
+    });
+}
 
 /**
  * Which stats a snapshot captures. Host-scoped stats (wall-clock and
@@ -234,16 +241,12 @@ class StatRegistry
     /**
      * Checkpoint registry-owned cells and histograms, keyed by path.
      * Closure-backed stats read live component state and are restored
-     * by the components themselves.
+     * by the components themselves. On restore the owning components
+     * must have re-registered their paths first; an unknown path is a
+     * checkpoint-format bug and panics.
      */
-    void serializeOwned(Serializer &s) const;
-
-    /**
-     * Restore registry-owned state written by serializeOwned(). The
-     * owning components must have re-registered their paths first; an
-     * unknown path is a checkpoint-format bug and panics.
-     */
-    void deserializeOwned(Deserializer &d);
+    template <class Ar>
+    void ioOwned(Ar &ar);
 
   private:
     struct Entry
@@ -384,12 +387,11 @@ class EventTrace
      */
     void writeChromeTrace(std::ostream &os) const;
 
-    /** Checkpoint ring contents and cursors (clock stays attached). */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(); the capacity must match
-     *  the current enable() configuration (panics otherwise). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint ring contents and cursors (clock stays attached);
+     *  the capacity must match the current enable() configuration
+     *  (panics otherwise). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     std::vector<TraceEvent> ring;
@@ -548,12 +550,10 @@ class SpanTrace
     void writeChromeTrace(std::ostream &os) const;
 
     /** Checkpoint ring, cursors, and in-flight open spans (histogram
-     *  and trace sinks stay attached). */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(); sampling period and
-     *  capacity must match the current enable() configuration. */
-    void deserialize(Deserializer &d);
+     *  and trace sinks stay attached); sampling period and capacity
+     *  must match the current enable() configuration. */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     /** Low 56 bits of a request id hold the per-core sequence. */
@@ -661,10 +661,8 @@ struct ProvenanceRecord
     bool closed = false; ///< realized objectives have been attached
 
     /** Checkpoint every field (strings and vectors included). */
-    void serialize(Serializer &s) const;
-
-    /** Restore a record written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 };
 
 /**
@@ -739,12 +737,10 @@ class ProvenanceTrace
      */
     void writeChromeTrace(std::ostream &os) const;
 
-    /** Checkpoint ring contents and cursors. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(); the capacity must match
+    /** Checkpoint ring contents and cursors; the capacity must match
      *  the current enable() configuration (panics otherwise). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     std::vector<ProvenanceRecord> ring;
@@ -864,11 +860,14 @@ class MetricTimeline
                    const std::map<std::string, double> &extraFinal)
         const;
 
-    /** Checkpoint binding, ring, cursors, and rollups. */
-    void serialize(Serializer &s) const;
+    /** Checkpoint binding, ring, cursors, and rollups; the capacity
+     *  must match the current enable() configuration (panics
+     *  otherwise). */
+    template <class Ar>
+    void io(Ar &ar);
 
-    /** Restore state written by serialize(); the capacity must match
-     *  the current enable() configuration (panics otherwise). */
+    /** io() for callers outside a template. */
+    void serialize(Serializer &s) const;
     void deserialize(Deserializer &d);
 
   private:

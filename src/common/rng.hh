@@ -130,23 +130,14 @@ class Rng
 
     /** Checkpoint the full stream position (xoshiro state plus the
      *  buffered Box-Muller spare). */
+    template <class Ar>
     void
-    serialize(Serializer &s) const
-    {
-        for (const std::uint64_t word : state)
-            s.putU64(word);
-        s.putBool(haveSpare);
-        s.putF64(spare);
-    }
-
-    /** Restore a stream checkpointed with serialize(). */
-    void
-    deserialize(Deserializer &d)
+    io(Ar &ar)
     {
         for (std::uint64_t &word : state)
-            word = d.getU64();
-        haveSpare = d.getBool();
-        spare = d.getF64();
+            ar.u64(word);
+        ar.flag(haveSpare);
+        ar.f64(spare);
     }
 
   private:

@@ -74,29 +74,17 @@ SlidingWindow::clear()
     sum = sumSq = 0.0;
 }
 
+template <class Ar>
 void
-SlidingWindow::serialize(Serializer &s) const
+SlidingWindow::io(Ar &ar)
 {
-    s.putU64(cap);
-    s.putU64(buf.size());
-    for (const double x : buf)
-        s.putF64(x);
-    s.putF64(sum);
-    s.putF64(sumSq);
+    ar.check(cap, "checkpoint SlidingWindow capacity mismatch");
+    ar.seq(buf, [&ar](double &x) { ar.f64(x); });
+    ar.f64(sum, sumSq);
 }
 
-void
-SlidingWindow::deserialize(Deserializer &d)
-{
-    if (d.getU64() != cap)
-        mct_panic("checkpoint SlidingWindow capacity mismatch");
-    buf.clear();
-    const std::uint64_t count = d.getU64();
-    for (std::uint64_t i = 0; i < count && d.ok(); ++i)
-        buf.push_back(d.getF64());
-    sum = d.getF64();
-    sumSq = d.getF64();
-}
+template void SlidingWindow::io(Serializer &);
+template void SlidingWindow::io(Deserializer &);
 
 double
 SlidingWindow::mean() const

@@ -15,9 +15,6 @@
 namespace mct
 {
 
-class Serializer;
-class Deserializer;
-
 /**
  * Streaming mean/variance/min/max accumulator (Welford's algorithm).
  */
@@ -105,10 +102,8 @@ class SlidingWindow
 
     /** Checkpoint contents and running sums (capacity must match on
      *  restore; it is a constructor parameter). */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     std::size_t cap;

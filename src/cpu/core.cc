@@ -5,6 +5,7 @@
 
 #include "common/instrument.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace mct
 {
@@ -275,80 +276,32 @@ Core::registerStats(StatRegistry &reg, const std::string &prefix) const
                    [s] { return s->wbStallTicks; });
 }
 
+template <class Ar>
 void
-Core::serialize(Serializer &s) const
+Core::io(Ar &ar)
 {
-    rng.serialize(s);
-    s.putU64(cpuTick);
-    s.putU64(nextReadSeq);
-    // The MSHR set is unordered; serialize sorted so identical state
+    // eagerScratch is per-call scratch, cleared before every use.
+    rng.io(ar);
+    ar.u64(cpuTick, nextReadSeq);
+    // The MSHR set is unordered; it travels sorted so identical state
     // always produces identical bytes.
-    std::vector<std::uint64_t> ids(outstanding.begin(),
-                                   outstanding.end());
+    std::vector<std::uint64_t> ids(outstanding.begin(), outstanding.end());
     std::sort(ids.begin(), ids.end());
-    s.putU64(ids.size());
-    for (const std::uint64_t id : ids)
-        s.putU64(id);
-    s.putU64(lastCompletionTick);
-    s.putU64(memOpsSinceEagerCheck);
-    s.putU32(pendingOp.gap);
-    s.putBool(pendingOp.isWrite);
-    s.putU64(pendingOp.addr);
-    s.putBool(pendingOp.dependent);
-    s.putBool(havePending);
-    s.putU32(gapLeft);
-    st.serialize(s);
+    ar.seq(ids, [&ar](std::uint64_t &id) { ar.u64(id); });
+    if constexpr (Ar::reading) {
+        outstanding.clear();
+        outstanding.insert(ids.begin(), ids.end());
+    }
+    ar.u64(lastCompletionTick, memOpsSinceEagerCheck);
+    ar.u32(pendingOp.gap);
+    ar.flag(pendingOp.isWrite);
+    ar.u64(pendingOp.addr);
+    ar.flag(pendingOp.dependent, havePending);
+    ar.u32(gapLeft);
+    st.io(ar);
 }
 
-void
-CoreStats::serialize(Serializer &s) const
-{
-    s.putU64(instructions);
-    s.putU64(memOps);
-    s.putU64(l1Hits);
-    s.putU64(l2Hits);
-    s.putU64(l3Hits);
-    s.putU64(memReads);
-    s.putU64(memWrites);
-    s.putU64(eagerSubmitted);
-    s.putU64(memStallTicks);
-    s.putU64(wbStallTicks);
-}
-
-void
-CoreStats::deserialize(Deserializer &d)
-{
-    instructions = d.getU64();
-    memOps = d.getU64();
-    l1Hits = d.getU64();
-    l2Hits = d.getU64();
-    l3Hits = d.getU64();
-    memReads = d.getU64();
-    memWrites = d.getU64();
-    eagerSubmitted = d.getU64();
-    memStallTicks = d.getU64();
-    wbStallTicks = d.getU64();
-}
-
-void
-Core::deserialize(Deserializer &d)
-{
-    rng.deserialize(d);
-    cpuTick = d.getU64();
-    nextReadSeq = d.getU64();
-    outstanding.clear();
-    const std::uint64_t nOutstanding = d.getU64();
-    for (std::uint64_t i = 0; i < nOutstanding && d.ok(); ++i)
-        outstanding.insert(d.getU64());
-    lastCompletionTick = d.getU64();
-    memOpsSinceEagerCheck = d.getU64();
-    pendingOp.gap = d.getU32();
-    pendingOp.isWrite = d.getBool();
-    pendingOp.addr = d.getU64();
-    pendingOp.dependent = d.getBool();
-    havePending = d.getBool();
-    gapLeft = d.getU32();
-    st.deserialize(d);
-}
+template void Core::io(Serializer &);
+template void Core::io(Deserializer &);
 
 } // namespace mct

@@ -73,10 +73,13 @@ struct CoreStats
     CoreStats delta(const CoreStats &earlier) const;
 
     /** Checkpoint every counter. */
-    void serialize(Serializer &s) const;
-
-    /** Restore counters written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u64(instructions, memOps, l1Hits, l2Hits, l3Hits, memReads,
+               memWrites, eagerSubmitted, memStallTicks, wbStallTicks);
+    }
 };
 
 class Core;
@@ -150,10 +153,8 @@ class Core
     void syncTo(Tick tick) { cpuTick = std::max(cpuTick, tick); }
 
     /** Checkpoint clocks, MSHR set, partial-op state, and stats. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     unsigned coreId;

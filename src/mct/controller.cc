@@ -954,132 +954,62 @@ MctController::runFor(InstCount insts)
     }
 }
 
+template <class Ar>
+void
+MctController::io(Ar &ar)
+{
+    // space_, samples_ and sampleIdx_ are deterministic derivations of
+    // the params that the constructor rebuilds; the histogram sinks
+    // are registry-owned and travel with the System.
+    det.io(ar);
+    ar.u8(state);
+    current.io(ar);
+    baseMetrics.io(ar);
+    ar.seq(history, [&ar](Decision &dec) {
+        dec.config.io(ar);
+        dec.predicted.io(ar);
+        ar.flag(dec.feasible);
+        ar.u64(dec.atInstruction);
+    });
+    ar.seq(healthLog, [&ar](HealthRecord &h) {
+        ar.u64(h.atInstruction);
+        ar.f64(h.chosenIpc, h.baselineIpc);
+        ar.flag(h.fellBack);
+        ar.u32(h.ladder);
+    });
+    samplingAcc.io(ar);
+    testingAcc.io(ar);
+    ar.u64(sinceHealthCheck, nResamplings, nFallbacks, nHealthChecks);
+    ar.u32(ladder);
+    ar.flag(cooldownActive);
+    ar.u64(cooldownUntil);
+    ar.flag(emergencyOn);
+    lastGoodBase.io(ar);
+    ar.flag(haveGoodBase);
+    ar.seq(wearTrail, [&ar](SysSnapshot &snap) { snap.io(ar); });
+    ar.u64(nQuarantined, nPredRejected, nPredCorrupted, nRetryRounds,
+           nBaseRepairs, nResampleEscalations, nEmergency, nReengage,
+           nAlertEscalations);
+    openProv_.io(ar);
+    ar.flag(openProvValid_);
+    ar.u64(provSeq_);
+    ar.f64(cumRegret_);
+    ar.u64(nAuditClosed_, nAuditDropped_, nErrInvalid_, nRegretPos_,
+           nAttrSnapshots_);
+    for (ml::Vector &attr : lastAttr_)
+        ar.seq(attr, [&ar](double &v) { ar.f64(v); });
+}
+
 void
 MctController::serialize(Serializer &s) const
 {
-    det.serialize(s);
-    s.putU8(static_cast<std::uint8_t>(state));
-    current.serialize(s);
-    baseMetrics.serialize(s);
-    s.putU64(history.size());
-    for (const Decision &dec : history) {
-        dec.config.serialize(s);
-        dec.predicted.serialize(s);
-        s.putBool(dec.feasible);
-        s.putU64(dec.atInstruction);
-    }
-    s.putU64(healthLog.size());
-    for (const HealthRecord &h : healthLog) {
-        s.putU64(h.atInstruction);
-        s.putF64(h.chosenIpc);
-        s.putF64(h.baselineIpc);
-        s.putBool(h.fellBack);
-        s.putU32(h.ladder);
-    }
-    samplingAcc.serialize(s);
-    testingAcc.serialize(s);
-    s.putU64(sinceHealthCheck);
-    s.putU64(nResamplings);
-    s.putU64(nFallbacks);
-    s.putU64(nHealthChecks);
-    s.putU32(ladder);
-    s.putBool(cooldownActive);
-    s.putU64(cooldownUntil);
-    s.putBool(emergencyOn);
-    lastGoodBase.serialize(s);
-    s.putBool(haveGoodBase);
-    s.putU64(wearTrail.size());
-    for (const SysSnapshot &snap : wearTrail)
-        snap.serialize(s);
-    s.putU64(nQuarantined);
-    s.putU64(nPredRejected);
-    s.putU64(nPredCorrupted);
-    s.putU64(nRetryRounds);
-    s.putU64(nBaseRepairs);
-    s.putU64(nResampleEscalations);
-    s.putU64(nEmergency);
-    s.putU64(nReengage);
-    s.putU64(nAlertEscalations);
-    openProv_.serialize(s);
-    s.putBool(openProvValid_);
-    s.putU64(provSeq_);
-    s.putF64(cumRegret_);
-    s.putU64(nAuditClosed_);
-    s.putU64(nAuditDropped_);
-    s.putU64(nErrInvalid_);
-    s.putU64(nRegretPos_);
-    s.putU64(nAttrSnapshots_);
-    for (const ml::Vector &attr : lastAttr_) {
-        s.putU64(attr.size());
-        for (const double v : attr)
-            s.putF64(v);
-    }
+    const_cast<MctController *>(this)->io(s);
 }
 
 void
 MctController::deserialize(Deserializer &d)
 {
-    det.deserialize(d);
-    state = static_cast<State>(d.getU8());
-    current.deserialize(d);
-    baseMetrics.deserialize(d);
-    history.resize(d.getU64());
-    for (Decision &dec : history) {
-        dec.config.deserialize(d);
-        dec.predicted.deserialize(d);
-        dec.feasible = d.getBool();
-        dec.atInstruction = d.getU64();
-    }
-    healthLog.resize(d.getU64());
-    for (HealthRecord &h : healthLog) {
-        h.atInstruction = d.getU64();
-        h.chosenIpc = d.getF64();
-        h.baselineIpc = d.getF64();
-        h.fellBack = d.getBool();
-        h.ladder = d.getU32();
-    }
-    samplingAcc.deserialize(d);
-    testingAcc.deserialize(d);
-    sinceHealthCheck = d.getU64();
-    nResamplings = d.getU64();
-    nFallbacks = d.getU64();
-    nHealthChecks = d.getU64();
-    ladder = d.getU32();
-    cooldownActive = d.getBool();
-    cooldownUntil = d.getU64();
-    emergencyOn = d.getBool();
-    lastGoodBase.deserialize(d);
-    haveGoodBase = d.getBool();
-    wearTrail.clear();
-    const std::uint64_t nTrail = d.getU64();
-    for (std::uint64_t i = 0; i < nTrail && d.ok(); ++i) {
-        SysSnapshot snap;
-        snap.deserialize(d);
-        wearTrail.push_back(std::move(snap));
-    }
-    nQuarantined = d.getU64();
-    nPredRejected = d.getU64();
-    nPredCorrupted = d.getU64();
-    nRetryRounds = d.getU64();
-    nBaseRepairs = d.getU64();
-    nResampleEscalations = d.getU64();
-    nEmergency = d.getU64();
-    nReengage = d.getU64();
-    nAlertEscalations = d.getU64();
-    openProv_.deserialize(d);
-    openProvValid_ = d.getBool();
-    provSeq_ = d.getU64();
-    cumRegret_ = d.getF64();
-    nAuditClosed_ = d.getU64();
-    nAuditDropped_ = d.getU64();
-    nErrInvalid_ = d.getU64();
-    nRegretPos_ = d.getU64();
-    nAttrSnapshots_ = d.getU64();
-    for (ml::Vector &attr : lastAttr_) {
-        attr.assign(d.getU64(), 0.0);
-        for (double &v : attr)
-            v = d.getF64();
-    }
+    io(d);
 }
 
 } // namespace mct

@@ -341,6 +341,9 @@ class MctController
     void deserialize(Deserializer &d);
 
   private:
+    template <class Ar>
+    void io(Ar &ar);
+
     System &sys;
     MctParams p;
     std::vector<MellowConfig> space_;

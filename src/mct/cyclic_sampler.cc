@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/serialize.hh"
 #include "sim/fault_injector.hh"
 
 namespace
@@ -41,30 +40,6 @@ WindowAccum::add(const SysSnapshot &from, const SysSnapshot &to)
         wearDelta.assign(to.bankWear.size(), 0.0);
     for (std::size_t b = 0; b < wearDelta.size(); ++b)
         wearDelta[b] += to.bankWear[b] - from.bankWear[b];
-}
-
-void
-WindowAccum::serialize(Serializer &s) const
-{
-    s.putU64(time);
-    s.putU64(insts);
-    s.putU64(reads);
-    s.putF64(writeEnergyUnits);
-    s.putU64(wearDelta.size());
-    for (const double w : wearDelta)
-        s.putF64(w);
-}
-
-void
-WindowAccum::deserialize(Deserializer &d)
-{
-    time = d.getU64();
-    insts = d.getU64();
-    reads = d.getU64();
-    writeEnergyUnits = d.getF64();
-    wearDelta.assign(d.getU64(), 0.0);
-    for (double &w : wearDelta)
-        w = d.getF64();
 }
 
 Metrics

@@ -37,10 +37,14 @@ struct WindowAccum
     Metrics metrics(const System &sys) const;
 
     /** Checkpoint the accumulated window. */
-    void serialize(Serializer &s) const;
-
-    /** Restore a window written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u64(time, insts, reads);
+        ar.f64(writeEnergyUnits);
+        ar.seq(wearDelta, [&ar](double &w) { ar.f64(w); });
+    }
 };
 
 /** Sampling schedule parameters. */

@@ -52,20 +52,16 @@ PhaseDetector::reset()
     score = 0.0;
 }
 
+template <class Ar>
 void
-PhaseDetector::serialize(Serializer &s) const
+PhaseDetector::io(Ar &ar)
 {
-    history.serialize(s);
-    s.putF64(score);
-    s.putU64(nPhases);
+    history.io(ar);
+    ar.f64(score);
+    ar.u64(nPhases);
 }
 
-void
-PhaseDetector::deserialize(Deserializer &d)
-{
-    history.deserialize(d);
-    score = d.getF64();
-    nPhases = d.getU64();
-}
+template void PhaseDetector::io(Serializer &);
+template void PhaseDetector::io(Deserializer &);
 
 } // namespace mct

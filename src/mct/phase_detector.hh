@@ -21,8 +21,6 @@
 namespace mct
 {
 
-class Serializer;
-class Deserializer;
 
 /** Detector parameters. The paper uses I = 1M instructions with a
  *  1000-window history and 100-window recency; scaled runs keep the
@@ -77,10 +75,8 @@ class PhaseDetector
     void reset();
 
     /** Checkpoint the history window and phase counters. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     PhaseDetectorParams p;

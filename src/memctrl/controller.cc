@@ -756,236 +756,77 @@ MemController::registerStats(StatRegistry &reg,
 namespace
 {
 
+template <class Ar>
 void
-serializeRequest(Serializer &s, const Request &r)
+ioRequest(Ar &ar, Request &r)
 {
-    s.putU64(r.addr);
-    s.putBool(r.isWrite);
-    s.putU8(static_cast<std::uint8_t>(r.source));
-    s.putU64(r.arrival);
-    s.putU64(r.id);
-    s.putU32(r.coreId);
-    s.putU32(r.bank);
-    s.putU64(r.row);
+    ar.u64(r.addr);
+    ar.flag(r.isWrite);
+    ar.u8(r.source);
+    ar.u64(r.arrival, r.id);
+    ar.u32(r.coreId, r.bank);
+    ar.u64(r.row);
 }
 
+template <class Ar>
 void
-deserializeRequest(Deserializer &d, Request &r)
+ioQueues(Ar &ar, std::vector<std::deque<Request>> &qs)
 {
-    r.addr = d.getU64();
-    r.isWrite = d.getBool();
-    r.source = static_cast<ReqSource>(d.getU8());
-    r.arrival = d.getU64();
-    r.id = d.getU64();
-    r.coreId = d.getU32();
-    r.bank = d.getU32();
-    r.row = d.getU64();
-}
-
-void
-serializeRequestQueues(Serializer &s,
-                       const std::vector<std::deque<Request>> &qs)
-{
-    s.putU64(qs.size());
-    for (const std::deque<Request> &q : qs) {
-        s.putU64(q.size());
-        for (const Request &r : q)
-            serializeRequest(s, r);
-    }
-}
-
-void
-deserializeRequestQueues(Deserializer &d,
-                         std::vector<std::deque<Request>> &qs)
-{
-    if (d.getU64() != qs.size())
-        mct_panic("checkpoint controller bank-count mismatch");
-    for (std::deque<Request> &q : qs) {
-        q.clear();
-        const std::uint64_t len = d.getU64();
-        for (std::uint64_t i = 0; i < len && d.ok(); ++i) {
-            Request r;
-            deserializeRequest(d, r);
-            q.push_back(r);
-        }
-    }
+    ar.check(qs.size(), "checkpoint controller bank-count mismatch");
+    for (std::deque<Request> &q : qs)
+        ar.seq(q, [&ar](Request &r) { ioRequest(ar, r); });
 }
 
 } // namespace
 
+template <class Ar>
 void
-MemController::serialize(Serializer &s) const
+MemController::io(Ar &ar)
 {
-    cfg.serialize(s);
-    quota.serialize(s);
-    s.putU64(curTick);
-    serializeRequestQueues(s, readQs);
-    serializeRequestQueues(s, writeQs);
-    serializeRequestQueues(s, eagerQs);
-    s.putU32(readCount);
-    s.putU32(writeCount);
-    s.putU32(eagerCount);
-    s.putU64(inflight.size());
-    for (const InFlight &f : inflight) {
-        s.putBool(f.valid);
-        serializeRequest(s, f.req);
-        s.putU64(f.start);
-        s.putU64(f.finish);
-        s.putF64(f.ratio);
-        s.putBool(f.cancellable);
-        s.putBool(f.isQuotaWrite);
-        s.putF64(f.wearFraction);
-    }
-    s.putU64(paused.size());
-    for (const PausedWrite &w : paused) {
-        s.putBool(w.valid);
-        serializeRequest(s, w.req);
-        s.putF64(w.ratio);
-        s.putU64(w.remaining);
-        s.putBool(w.isQuotaWrite);
-        s.putF64(w.fractionCharged);
-    }
-    s.putU64(retentionFifo.size());
-    for (const auto &fifo : retentionFifo) {
-        s.putU64(fifo.size());
-        for (const auto &[row, deadline] : fifo) {
-            s.putU64(row);
-            s.putU64(deadline);
-        }
-    }
-    s.putU64(disturbCount.size());
-    for (const std::vector<std::uint16_t> &rows : disturbCount) {
-        s.putU64(rows.size());
-        for (const std::uint16_t c : rows)
-            s.putU32(c);
-    }
-    s.putU32(inflightCount);
-    s.putU64(completed.size());
-    for (const auto &[id, tick] : completed) {
-        s.putU64(id);
-        s.putU64(tick);
-    }
-    s.putBool(drainActive);
-    s.putU64(recentActivates.size());
-    for (const Tick t : recentActivates)
-        s.putU64(t);
-    s.putU64(nextWriteId);
-    st.serialize(s);
-    s.putU64(nDrains);
-}
-
-void
-CtrlStats::serialize(Serializer &s) const
-{
-    s.putU64(readsCompleted);
-    s.putU64(rowHits);
-    s.putU64(writesCompleted);
-    s.putU64(fastWrites);
-    s.putU64(slowWrites);
-    s.putU64(quotaWrites);
-    s.putU64(eagerWrites);
-    s.putU64(cancellations);
-    s.putU64(pausedWrites);
-    s.putU64(scrubWrites);
-    s.putU64(readQRejects);
-    s.putU64(writeQRejects);
-    s.putU64(eagerQRejects);
-    s.putU64(readLatencySum);
-    s.putF64(wearAdded);
-    s.putF64(writeEnergyUnits);
-    s.putU64(bankBusyTicks);
-}
-
-void
-CtrlStats::deserialize(Deserializer &d)
-{
-    readsCompleted = d.getU64();
-    rowHits = d.getU64();
-    writesCompleted = d.getU64();
-    fastWrites = d.getU64();
-    slowWrites = d.getU64();
-    quotaWrites = d.getU64();
-    eagerWrites = d.getU64();
-    cancellations = d.getU64();
-    pausedWrites = d.getU64();
-    scrubWrites = d.getU64();
-    readQRejects = d.getU64();
-    writeQRejects = d.getU64();
-    eagerQRejects = d.getU64();
-    readLatencySum = d.getU64();
-    wearAdded = d.getF64();
-    writeEnergyUnits = d.getF64();
-    bankBusyTicks = d.getU64();
-}
-
-void
-MemController::deserialize(Deserializer &d)
-{
-    cfg.deserialize(d);
-    quota.deserialize(d);
-    curTick = d.getU64();
-    deserializeRequestQueues(d, readQs);
-    deserializeRequestQueues(d, writeQs);
-    deserializeRequestQueues(d, eagerQs);
-    readCount = d.getU32();
-    writeCount = d.getU32();
-    eagerCount = d.getU32();
-    if (d.getU64() != inflight.size())
-        mct_panic("checkpoint controller in-flight size mismatch");
+    cfg.io(ar);
+    quota.io(ar);
+    ar.u64(curTick);
+    ioQueues(ar, readQs);
+    ioQueues(ar, writeQs);
+    ioQueues(ar, eagerQs);
+    ar.u32(readCount, writeCount, eagerCount);
+    ar.check(inflight.size(),
+             "checkpoint controller in-flight size mismatch");
     for (InFlight &f : inflight) {
-        f.valid = d.getBool();
-        deserializeRequest(d, f.req);
-        f.start = d.getU64();
-        f.finish = d.getU64();
-        f.ratio = d.getF64();
-        f.cancellable = d.getBool();
-        f.isQuotaWrite = d.getBool();
-        f.wearFraction = d.getF64();
+        ar.flag(f.valid);
+        ioRequest(ar, f.req);
+        ar.u64(f.start, f.finish);
+        ar.f64(f.ratio);
+        ar.flag(f.cancellable, f.isQuotaWrite);
+        ar.f64(f.wearFraction);
     }
-    if (d.getU64() != paused.size())
-        mct_panic("checkpoint controller paused size mismatch");
+    ar.check(paused.size(), "checkpoint controller paused size mismatch");
     for (PausedWrite &w : paused) {
-        w.valid = d.getBool();
-        deserializeRequest(d, w.req);
-        w.ratio = d.getF64();
-        w.remaining = d.getU64();
-        w.isQuotaWrite = d.getBool();
-        w.fractionCharged = d.getF64();
+        ar.flag(w.valid);
+        ioRequest(ar, w.req);
+        ar.f64(w.ratio);
+        ar.u64(w.remaining);
+        ar.flag(w.isQuotaWrite);
+        ar.f64(w.fractionCharged);
     }
-    if (d.getU64() != retentionFifo.size())
-        mct_panic("checkpoint controller retention size mismatch");
-    for (auto &fifo : retentionFifo) {
-        fifo.clear();
-        const std::uint64_t len = d.getU64();
-        for (std::uint64_t i = 0; i < len && d.ok(); ++i) {
-            const std::uint64_t row = d.getU64();
-            const Tick deadline = d.getU64();
-            fifo.emplace_back(row, deadline);
-        }
-    }
-    // The disturb table is lazily allocated, so restore its shape too.
-    disturbCount.resize(d.getU64());
-    for (std::vector<std::uint16_t> &rows : disturbCount) {
-        rows.resize(d.getU64());
-        for (std::uint16_t &c : rows)
-            c = static_cast<std::uint16_t>(d.getU32());
-    }
-    inflightCount = d.getU32();
-    completed.clear();
-    const std::uint64_t nCompleted = d.getU64();
-    for (std::uint64_t i = 0; i < nCompleted && d.ok(); ++i) {
-        const std::uint64_t id = d.getU64();
-        const Tick tick = d.getU64();
-        completed.emplace_back(id, tick);
-    }
-    drainActive = d.getBool();
-    recentActivates.clear();
-    const std::uint64_t nActivates = d.getU64();
-    for (std::uint64_t i = 0; i < nActivates && d.ok(); ++i)
-        recentActivates.push_back(d.getU64());
-    nextWriteId = d.getU64();
-    st.deserialize(d);
-    nDrains = d.getU64();
+    ar.check(retentionFifo.size(),
+             "checkpoint controller retention size mismatch");
+    for (auto &fifo : retentionFifo)
+        ar.seq(fifo, [&ar](auto &row) { ar.u64(row.first, row.second); });
+    // The disturb table is lazily allocated, so its shape travels too.
+    ar.seq(disturbCount, [&ar](std::vector<std::uint16_t> &rows) {
+        ar.seq(rows, [&ar](std::uint16_t &c) { ar.u32(c); });
+    });
+    ar.u32(inflightCount);
+    ar.seq(completed, [&ar](auto &c) { ar.u64(c.first, c.second); });
+    ar.flag(drainActive);
+    ar.seq(recentActivates, [&ar](Tick &t) { ar.u64(t); });
+    ar.u64(nextWriteId);
+    st.io(ar);
+    ar.u64(nDrains);
 }
+
+template void MemController::io(Serializer &);
+template void MemController::io(Deserializer &);
 
 } // namespace mct

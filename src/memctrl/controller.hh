@@ -35,8 +35,6 @@ namespace mct
 class EventTrace;
 class SpanTrace;
 class StatRegistry;
-class Serializer;
-class Deserializer;
 
 /** Tunables of the controller itself (Table 9 defaults). */
 struct MemCtrlParams
@@ -109,10 +107,17 @@ struct CtrlStats
     double avgReadLatency() const;
 
     /** Checkpoint every counter. */
-    void serialize(Serializer &s) const;
-
-    /** Restore counters written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u64(readsCompleted, rowHits, writesCompleted, fastWrites,
+               slowWrites, quotaWrites, eagerWrites, cancellations,
+               pausedWrites, scrubWrites, readQRejects, writeQRejects,
+               eagerQRejects, readLatencySum);
+        ar.f64(wearAdded, writeEnergyUnits);
+        ar.u64(bankBusyTicks);
+    }
 };
 
 /**
@@ -223,11 +228,10 @@ class MemController
     bool idle() const;
 
     /** Checkpoint configuration, queues, in-flight and paused writes,
-     *  retention/disturb tracking, quota clocks, and statistics. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same bank geometry). */
-    void deserialize(Deserializer &d);
+     *  retention/disturb tracking, quota clocks, and statistics
+     *  (restore requires the same bank geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     /** What a busy bank is doing. */

@@ -9,8 +9,6 @@
 #ifndef MCT_MEMCTRL_MELLOW_CONFIG_HH
 #define MCT_MEMCTRL_MELLOW_CONFIG_HH
 
-#include "common/serialize.hh"
-
 namespace mct
 {
 
@@ -117,41 +115,18 @@ struct MellowConfig
     bool operator==(const MellowConfig &) const = default;
 
     /** Checkpoint every knob. */
+    template <class Ar>
     void
-    serialize(Serializer &s) const
+    io(Ar &ar)
     {
-        s.putBool(bankAware);
-        s.putI64(bankAwareThreshold);
-        s.putBool(eagerWritebacks);
-        s.putI64(eagerThreshold);
-        s.putBool(wearQuota);
-        s.putF64(wearQuotaTarget);
-        s.putF64(fastLatency);
-        s.putF64(slowLatency);
-        s.putBool(fastCancellation);
-        s.putBool(slowCancellation);
-        s.putBool(pauseInsteadOfCancel);
-        s.putBool(shortRetentionWrites);
-        s.putBool(fastDisturbingReads);
-    }
-
-    /** Restore a configuration written by serialize(). */
-    void
-    deserialize(Deserializer &d)
-    {
-        bankAware = d.getBool();
-        bankAwareThreshold = static_cast<int>(d.getI64());
-        eagerWritebacks = d.getBool();
-        eagerThreshold = static_cast<int>(d.getI64());
-        wearQuota = d.getBool();
-        wearQuotaTarget = d.getF64();
-        fastLatency = d.getF64();
-        slowLatency = d.getF64();
-        fastCancellation = d.getBool();
-        slowCancellation = d.getBool();
-        pauseInsteadOfCancel = d.getBool();
-        shortRetentionWrites = d.getBool();
-        fastDisturbingReads = d.getBool();
+        ar.flag(bankAware);
+        ar.i64(bankAwareThreshold);
+        ar.flag(eagerWritebacks);
+        ar.i64(eagerThreshold);
+        ar.flag(wearQuota);
+        ar.f64(wearQuotaTarget, fastLatency, slowLatency);
+        ar.flag(fastCancellation, slowCancellation, pauseInsteadOfCancel,
+                shortRetentionWrites, fastDisturbingReads);
     }
 };
 

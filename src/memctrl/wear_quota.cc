@@ -102,38 +102,22 @@ WearQuota::registerStats(StatRegistry &reg,
                  "fault-injected clock multiplier (1 = honest)");
 }
 
+template <class Ar>
 void
-WearQuota::serialize(Serializer &s) const
+WearQuota::io(Ar &ar)
 {
-    s.putU64(slice);
-    s.putF64(capacity);
-    s.putBool(isEnabled);
-    s.putBool(isRestricted);
-    s.putU64(armTick);
-    s.putF64(armWear);
-    s.putU64(sliceStart);
-    s.putF64(ratePerSec);
-    s.putU64(nRestricted);
-    s.putF64(skew);
-    s.putF64(lastUsedWear);
-    s.putF64(lastAllowedWear);
+    ar.u64(slice);
+    ar.f64(capacity);
+    ar.flag(isEnabled, isRestricted);
+    ar.u64(armTick);
+    ar.f64(armWear);
+    ar.u64(sliceStart);
+    ar.f64(ratePerSec);
+    ar.u64(nRestricted);
+    ar.f64(skew, lastUsedWear, lastAllowedWear);
 }
 
-void
-WearQuota::deserialize(Deserializer &d)
-{
-    slice = d.getU64();
-    capacity = d.getF64();
-    isEnabled = d.getBool();
-    isRestricted = d.getBool();
-    armTick = d.getU64();
-    armWear = d.getF64();
-    sliceStart = d.getU64();
-    ratePerSec = d.getF64();
-    nRestricted = d.getU64();
-    skew = d.getF64();
-    lastUsedWear = d.getF64();
-    lastAllowedWear = d.getF64();
-}
+template void WearQuota::io(Serializer &);
+template void WearQuota::io(Deserializer &);
 
 } // namespace mct

@@ -22,8 +22,6 @@ namespace mct
 
 class EventTrace;
 class StatRegistry;
-class Serializer;
-class Deserializer;
 
 /**
  * Tracks the per-slice wear budget and the restricted/unrestricted
@@ -96,10 +94,8 @@ class WearQuota
                        const std::string &prefix) const;
 
     /** Checkpoint the budget clocks and restriction state machine. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     Tick slice;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace mct
@@ -72,39 +71,17 @@ class Bank
     }
 
     /** Checkpoint the full physical state of the bank. */
+    template <class Ar>
     void
-    serialize(Serializer &s) const
+    io(Ar &ar)
     {
-        s.putU64(busyUntil);
-        s.putI64(openRow);
-        s.putBool(writing);
-        s.putU64(writeStart);
-        s.putF64(writeRatio);
-        s.putF64(wear);
-        s.putU64(reads);
-        s.putU64(rowHits);
-        s.putU64(writes);
-        s.putU64(busyTicks);
-        s.putF64(latencyFactor);
-        s.putF64(wearFactor);
-    }
-
-    /** Restore state written by serialize(). */
-    void
-    deserialize(Deserializer &d)
-    {
-        busyUntil = d.getU64();
-        openRow = d.getI64();
-        writing = d.getBool();
-        writeStart = d.getU64();
-        writeRatio = d.getF64();
-        wear = d.getF64();
-        reads = d.getU64();
-        rowHits = d.getU64();
-        writes = d.getU64();
-        busyTicks = d.getU64();
-        latencyFactor = d.getF64();
-        wearFactor = d.getF64();
+        ar.u64(busyUntil);
+        ar.i64(openRow);
+        ar.flag(writing);
+        ar.u64(writeStart);
+        ar.f64(writeRatio, wear);
+        ar.u64(reads, rowHits, writes, busyTicks);
+        ar.f64(latencyFactor, wearFactor);
     }
 };
 

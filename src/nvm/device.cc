@@ -241,38 +241,26 @@ NvmDevice::registerStats(StatRegistry &reg,
     }
 }
 
+template <class Ar>
 void
-NvmDevice::serialize(Serializer &s) const
+NvmDevice::io(Ar &ar)
 {
-    s.putU32(static_cast<std::uint32_t>(banks.size()));
-    for (const Bank &b : banks)
-        b.serialize(s);
-    s.putF64(wearTotal);
-    s.putU32(static_cast<std::uint32_t>(remappers.size()));
-    for (const StartGap &sg : remappers)
-        sg.serialize(s);
-    s.putBool(rowWear != nullptr);
+    ar.check(static_cast<std::uint32_t>(banks.size()),
+             "checkpoint device bank-count mismatch");
+    for (Bank &b : banks)
+        b.io(ar);
+    ar.f64(wearTotal);
+    ar.check(static_cast<std::uint32_t>(remappers.size()),
+             "checkpoint device remapper-count mismatch");
+    for (StartGap &sg : remappers)
+        sg.io(ar);
+    ar.check(rowWear != nullptr,
+             "checkpoint device wear-level mode mismatch");
     if (rowWear)
-        rowWear->serialize(s);
+        rowWear->io(ar);
 }
 
-void
-NvmDevice::deserialize(Deserializer &d)
-{
-    if (d.getU32() != banks.size())
-        mct_panic("checkpoint device bank-count mismatch");
-    for (Bank &b : banks)
-        b.deserialize(d);
-    wearTotal = d.getF64();
-    if (d.getU32() != remappers.size())
-        mct_panic("checkpoint device remapper-count mismatch");
-    for (StartGap &sg : remappers)
-        sg.deserialize(d);
-    const bool hasRowWear = d.getBool();
-    if (hasRowWear != (rowWear != nullptr))
-        mct_panic("checkpoint device wear-level mode mismatch");
-    if (rowWear)
-        rowWear->deserialize(d);
-}
+template void NvmDevice::io(Serializer &);
+template void NvmDevice::io(Deserializer &);
 
 } // namespace mct

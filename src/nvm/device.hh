@@ -21,8 +21,6 @@ namespace mct
 
 class StatRegistry;
 class SpanTrace;
-class Serializer;
-class Deserializer;
 
 /** Decoded physical location of a cache-line address. */
 struct NvmLocation
@@ -136,11 +134,10 @@ class NvmDevice
     /** The Start-Gap remapper of @p bank (Start-Gap mode only). */
     const StartGap &startGap(unsigned bank) const;
 
-    /** Checkpoint bank state, wear totals, and remapping tables. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same geometry). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint bank state, wear totals, and remapping tables
+     *  (restore requires the same geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     NvmParams p;

@@ -80,56 +80,31 @@ RowWearTable::levelingEfficiency() const
     return avg / worst;
 }
 
+template <class Ar>
 void
-StartGap::serialize(Serializer &s) const
+StartGap::io(Ar &ar)
 {
-    s.putU64(nRows);
-    s.putU64(period);
-    s.putU64(gap);
-    s.putU64(start);
-    s.putU64(sinceMove);
-    s.putU64(moves);
-    s.putU64(starts);
+    ar.check(nRows, "checkpoint Start-Gap geometry mismatch");
+    ar.check(period, "checkpoint Start-Gap geometry mismatch");
+    ar.u64(gap, start, sinceMove, moves, starts);
 }
 
-void
-StartGap::deserialize(Deserializer &d)
-{
-    const std::uint64_t rows = d.getU64();
-    const std::uint64_t per = d.getU64();
-    if (rows != nRows || per != period)
-        mct_panic("checkpoint Start-Gap geometry mismatch");
-    gap = d.getU64();
-    start = d.getU64();
-    sinceMove = d.getU64();
-    moves = d.getU64();
-    starts = d.getU64();
-}
+template void StartGap::io(Serializer &);
+template void StartGap::io(Deserializer &);
 
+template <class Ar>
 void
-RowWearTable::serialize(Serializer &s) const
+RowWearTable::io(Ar &ar)
 {
-    s.putU32(nBanks);
-    s.putU64(rowsPerBank);
-    for (float cell : wear)
-        s.putF64(static_cast<double>(cell));
-    s.putF64(worst);
-    s.putF64(sum);
-    s.putU64(touched);
-}
-
-void
-RowWearTable::deserialize(Deserializer &d)
-{
-    const unsigned banks = d.getU32();
-    const std::uint64_t rows = d.getU64();
-    if (banks != nBanks || rows != rowsPerBank)
-        mct_panic("checkpoint row-wear geometry mismatch");
+    ar.check(nBanks, "checkpoint row-wear geometry mismatch");
+    ar.check(rowsPerBank, "checkpoint row-wear geometry mismatch");
     for (float &cell : wear)
-        cell = static_cast<float>(d.getF64());
-    worst = d.getF64();
-    sum = d.getF64();
-    touched = d.getU64();
+        ar.f64(cell);
+    ar.f64(worst, sum);
+    ar.u64(touched);
 }
+
+template void RowWearTable::io(Serializer &);
+template void RowWearTable::io(Deserializer &);
 
 } // namespace mct

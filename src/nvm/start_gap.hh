@@ -26,12 +26,8 @@
 #include <cstdint>
 #include <vector>
 
-
 namespace mct
 {
-
-class Serializer;
-class Deserializer;
 
 /**
  * Start-Gap remapping state for one bank.
@@ -65,11 +61,10 @@ class StartGap
     /** Physical rows managed (logical rows + 1 spare). */
     std::uint64_t physicalRows() const { return nRows + 1; }
 
-    /** Checkpoint the remapping pointers and counters. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same geometry). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint the remapping pointers and counters (restore
+     *  requires the same geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     std::uint64_t nRows;
@@ -107,11 +102,10 @@ class RowWearTable
      */
     double levelingEfficiency() const;
 
-    /** Checkpoint the per-row wear cells and aggregates. */
-    void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize() (same geometry). */
-    void deserialize(Deserializer &d);
+    /** Checkpoint the per-row wear cells and aggregates (restore
+     *  requires the same geometry). */
+    template <class Ar>
+    void io(Ar &ar);
 
   private:
     unsigned nBanks;

@@ -20,10 +20,9 @@
  * silently mis-replayed. All ckpt.* stats are host-scoped: checkpoint
  * activity never perturbs the deterministic Sim stat surfaces.
  *
- * The payload is a tagless field stream, so every component's
- * serialize/deserialize pair must stay in lockstep — statically
- * enforced by mct_lint's serialize-contract builtin (see
- * docs/static-analysis.md).
+ * The payload is a tagless field stream: each component names its
+ * fields once, in one io(Ar&) body that both the writer and the
+ * reader run (see common/serialize.hh and docs/robustness.md).
  */
 
 #ifndef MCT_SIM_CHECKPOINT_HH

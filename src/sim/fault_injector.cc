@@ -254,27 +254,28 @@ FaultInjector::corruptCheckpointFile(const std::string &path)
     return static_cast<bool>(out);
 }
 
+template <class Ar>
+void
+FaultInjector::io(Ar &ar)
+{
+    rng.io(ar);
+    ar.check(wasActive.size(), "checkpoint fault-plan size mismatch");
+    for (auto &&active : wasActive)
+        ar.flag(active);
+    for (std::uint64_t &n : nInjected)
+        ar.u64(n);
+}
+
 void
 FaultInjector::serialize(Serializer &s) const
 {
-    rng.serialize(s);
-    s.putU64(wasActive.size());
-    for (std::size_t i = 0; i < wasActive.size(); ++i)
-        s.putBool(wasActive[i]);
-    for (const std::uint64_t n : nInjected)
-        s.putU64(n);
+    const_cast<FaultInjector *>(this)->io(s);
 }
 
 void
 FaultInjector::deserialize(Deserializer &d)
 {
-    rng.deserialize(d);
-    if (d.getU64() != wasActive.size())
-        mct_panic("checkpoint fault-plan size mismatch");
-    for (std::size_t i = 0; i < wasActive.size(); ++i)
-        wasActive[i] = d.getBool();
-    for (std::uint64_t &n : nInjected)
-        n = d.getU64();
+    io(d);
 }
 
 } // namespace mct

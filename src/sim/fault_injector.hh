@@ -137,6 +137,9 @@ class FaultInjector
 
     InstCount instNow() const { return clock ? *clock : 0; }
 
+    template <class Ar>
+    void io(Ar &ar);
+
     /** Armed specs of @p kind at the current instruction. */
     template <typename Fn>
     void

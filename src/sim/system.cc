@@ -261,76 +261,38 @@ System::metricsSince(const SysSnapshot &from) const
     return metricsBetween(from, snapshot());
 }
 
+template <class Ar>
 void
-Metrics::serialize(Serializer &s) const
+System::io(Ar &ar)
 {
-    s.putF64(ipc);
-    s.putF64(lifetimeYears);
-    s.putF64(energyJ);
-}
-
-void
-Metrics::deserialize(Deserializer &d)
-{
-    ipc = d.getF64();
-    lifetimeYears = d.getF64();
-    energyJ = d.getF64();
-}
-
-void
-SysSnapshot::serialize(Serializer &s) const
-{
-    core.serialize(s);
-    ctrl.serialize(s);
-    s.putU64(time);
-    s.putU64(instructions);
-    s.putU64(bankWear.size());
-    for (const double w : bankWear)
-        s.putF64(w);
-}
-
-void
-SysSnapshot::deserialize(Deserializer &d)
-{
-    core.deserialize(d);
-    ctrl.deserialize(d);
-    time = d.getU64();
-    instructions = d.getU64();
-    bankWear.assign(d.getU64(), 0.0);
-    for (double &w : bankWear)
-        w = d.getF64();
+    // Parameters and wiring (router, fault injector, host profiler)
+    // are rebuilt identically before a restore.
+    if constexpr (Ar::reading)
+        wl_->deserialize(ar);
+    else
+        wl_->serialize(ar);
+    core_->io(ar);
+    hier_->io(ar);
+    ctrl_->io(ar);
+    dev_->io(ar);
+    trace_.io(ar);
+    spans_.io(ar);
+    prov_.io(ar);
+    timeline_.io(ar);
+    alerts_.io(ar);
+    reg_.ioOwned(ar);
 }
 
 void
 System::serialize(Serializer &s) const
 {
-    wl_->serialize(s);
-    core_->serialize(s);
-    hier_->serialize(s);
-    ctrl_->serialize(s);
-    dev_->serialize(s);
-    trace_.serialize(s);
-    spans_.serialize(s);
-    prov_.serialize(s);
-    timeline_.serialize(s);
-    alerts_.serialize(s);
-    reg_.serializeOwned(s);
+    const_cast<System *>(this)->io(s);
 }
 
 void
 System::deserialize(Deserializer &d)
 {
-    wl_->deserialize(d);
-    core_->deserialize(d);
-    hier_->deserialize(d);
-    ctrl_->deserialize(d);
-    dev_->deserialize(d);
-    trace_.deserialize(d);
-    spans_.deserialize(d);
-    prov_.deserialize(d);
-    timeline_.deserialize(d);
-    alerts_.deserialize(d);
-    reg_.deserializeOwned(d);
+    io(d);
 }
 
 } // namespace mct

@@ -56,10 +56,8 @@ struct Metrics
     double energyJ = 0.0; ///< Joules per 1M instructions
 
     /** Checkpoint the three objectives. */
-    void serialize(Serializer &s) const;
-
-    /** Restore objectives written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void io(Ar &ar) { ar.f64(ipc, lifetimeYears, energyJ); }
 };
 
 /** A point-in-time capture used to compute window metrics. */
@@ -72,10 +70,15 @@ struct SysSnapshot
     std::vector<double> bankWear;
 
     /** Checkpoint the captured counters. */
-    void serialize(Serializer &s) const;
-
-    /** Restore a capture written by serialize(). */
-    void deserialize(Deserializer &d);
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        core.io(ar);
+        ctrl.io(ar);
+        ar.u64(time, instructions);
+        ar.seq(bankWear, [&ar](double &w) { ar.f64(w); });
+    }
 };
 
 /**
@@ -270,6 +273,9 @@ class System
     HostProfiler *hostProf_ = nullptr;
 
     void wire(const MellowConfig &config);
+
+    template <class Ar>
+    void io(Ar &ar);
 
     /** Register every component under its layer's dotted prefix. */
     void registerAllStats();

@@ -105,27 +105,29 @@ TraceWorkload::reset(std::uint64_t)
     nLoops = 0;
 }
 
+template <class Ar>
+void
+TraceWorkload::io(Ar &ar)
+{
+    // The operations themselves are reloaded from the trace file; the
+    // count guards against replaying against a different trace.
+    ar.check(ops.size(), "checkpoint trace length mismatch");
+    ar.u64(addrBase, cursor);
+    if (cursor >= ops.size())
+        mct_panic("checkpoint trace cursor out of range");
+    ar.u64(nLoops);
+}
+
 void
 TraceWorkload::serialize(Serializer &s) const
 {
-    s.putU64(ops.size());
-    s.putU64(addrBase);
-    s.putU64(cursor);
-    s.putU64(nLoops);
+    const_cast<TraceWorkload *>(this)->io(s);
 }
 
 void
 TraceWorkload::deserialize(Deserializer &d)
 {
-    // The operations themselves are reloaded from the trace file; the
-    // count guards against replaying against a different trace.
-    if (d.getU64() != ops.size())
-        mct_panic("checkpoint trace length mismatch");
-    addrBase = d.getU64();
-    cursor = d.getU64();
-    if (cursor >= ops.size())
-        mct_panic("checkpoint trace cursor out of range");
-    nLoops = d.getU64();
+    io(d);
 }
 
 std::vector<WorkloadOp>

@@ -76,6 +76,9 @@ class TraceWorkload : public Workload
     Addr addrBase = 0;
     std::size_t cursor = 0;
     std::uint64_t nLoops = 0;
+
+    template <class Ar>
+    void io(Ar &ar);
 };
 
 /**

@@ -132,38 +132,31 @@ PatternWorkload::next(WorkloadOp &op)
         enterPhase((phaseIdx + 1) % phases.size());
 }
 
+template <class Ar>
+void
+PatternWorkload::io(Ar &ar)
+{
+    ar.u64(seed0);
+    rng.io(ar);
+    ar.u64(addrBase, phaseIdx);
+    if (phaseIdx >= phases.size())
+        mct_panic("checkpoint workload phase out of range");
+    ar.u64(instInPhase, totalInsts);
+    ar.seq32(streamPos, [&ar](std::uint64_t &pos) { ar.u64(pos); });
+    ar.flag(rmwPending);
+    ar.u64(rmwAddr);
+}
+
 void
 PatternWorkload::serialize(Serializer &s) const
 {
-    s.putU64(seed0);
-    rng.serialize(s);
-    s.putU64(addrBase);
-    s.putU64(phaseIdx);
-    s.putU64(instInPhase);
-    s.putU64(totalInsts);
-    s.putU32(static_cast<std::uint32_t>(streamPos.size()));
-    for (std::uint64_t pos : streamPos)
-        s.putU64(pos);
-    s.putBool(rmwPending);
-    s.putU64(rmwAddr);
+    const_cast<PatternWorkload *>(this)->io(s);
 }
 
 void
 PatternWorkload::deserialize(Deserializer &d)
 {
-    seed0 = d.getU64();
-    rng.deserialize(d);
-    addrBase = d.getU64();
-    phaseIdx = d.getU64();
-    if (phaseIdx >= phases.size())
-        mct_panic("checkpoint workload phase out of range");
-    instInPhase = d.getU64();
-    totalInsts = d.getU64();
-    streamPos.assign(d.getU32(), 0);
-    for (std::uint64_t &pos : streamPos)
-        pos = d.getU64();
-    rmwPending = d.getBool();
-    rmwAddr = d.getU64();
+    io(d);
 }
 
 } // namespace mct

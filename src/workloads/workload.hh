@@ -173,6 +173,9 @@ class PatternWorkload : public Workload
 
     void enterPhase(std::size_t idx);
     const PatternSpec &pat() const { return phases[phaseIdx].pattern; }
+
+    template <class Ar>
+    void io(Ar &ar);
     Addr genAddr();
 };
 

@@ -5,9 +5,7 @@
  * unification, and the full analysis run against the seeded fixture
  * project under tests/lint_fixtures/proj (true positives for every
  * rule class, allowlists, and stat/event-contract drift in both
- * directions), and the serialize-contract builtin against
- * tests/lint_fixtures/serial (missed members, order asymmetry, the
- * reviewed skip manifest, and every exemption class).
+ * directions).
  */
 
 #include <gtest/gtest.h>
@@ -462,176 +460,6 @@ TEST(DocTable, KeepsLiveDropsStaleAppendsNew)
               std::string::npos);
     // Idempotent: regenerating the regenerated text changes nothing.
     EXPECT_EQ(regenerateDocTables(out, regs, events), out);
-}
-
-/** The serialize-contract builtin over its own seeded fixture tree
- *  (tests/lint_fixtures/serial): one class per failure mode, one per
- *  exemption class, and a manifest with a live, a stale, and a
- *  malformed skip entry. */
-class SerialFixtureRun : public ::testing::Test
-{
-  protected:
-    static Linter &
-    linter()
-    {
-        static Linter *lint = [] {
-            RulesFile rf;
-            std::string err;
-            const std::string root =
-                std::string(MCT_LINT_FIXTURES) + "/serial";
-            EXPECT_TRUE(
-                parseRules(readFile(root + "/rules.txt"), rf, err))
-                << err;
-            return new Linter(rf, root);
-        }();
-        return *lint;
-    }
-
-    static const std::vector<Finding> &
-    findings()
-    {
-        static const std::vector<Finding> fs =
-            linter().run({"src"});
-        return fs;
-    }
-};
-
-TEST_F(SerialFixtureRun, MissingWriteNamesTheMember)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "serialize-contract",
-                           "member 'dropped' of 'MissingWrite' is "
-                           "never written"));
-    // It is read on resume, so only the write side fires.
-    EXPECT_FALSE(hasMessage(fs, "serialize-contract",
-                            "'dropped' of 'MissingWrite' is never "
-                            "read"));
-    EXPECT_EQ(countOf(fs, "serialize-contract", "src/missing.hh"),
-              2u);
-}
-
-TEST_F(SerialFixtureRun, MissingReadNamesTheMember)
-{
-    EXPECT_TRUE(hasMessage(findings(), "serialize-contract",
-                           "member 'ghostRead' of 'MissingRead' is "
-                           "never read"));
-}
-
-TEST_F(SerialFixtureRun, OrderAsymmetryIsOneFindingPerClass)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "serialize-contract",
-                           "OrderSwap::deserialize reads 'y' where "
-                           "serialize wrote 'x'"));
-    // The cascade after the first divergence is suppressed.
-    EXPECT_EQ(countOf(fs, "serialize-contract", "src/order_swap.hh"),
-              1u);
-}
-
-TEST_F(SerialFixtureRun, ManifestSkipSilencesTheMember)
-{
-    EXPECT_FALSE(
-        hasMessage(findings(), "serialize-contract", "'cacheOnly'"));
-}
-
-TEST_F(SerialFixtureRun, StaleAndMalformedSkipsAreFindings)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "serialize-contract",
-                           "stale skip entry 'Stale::ghost'"));
-    EXPECT_TRUE(hasMessage(fs, "serialize-contract",
-                           "malformed skip entry "
-                           "'not-a-valid-entry'"));
-}
-
-TEST_F(SerialFixtureRun, SerializeWithoutDeserializeIsFlagged)
-{
-    EXPECT_TRUE(hasMessage(findings(), "serialize-contract",
-                           "class 'WriteOnly' declares "
-                           "serialize(Serializer&) but no "
-                           "deserialize(Deserializer&)"));
-}
-
-TEST_F(SerialFixtureRun, ExemptionsDoNotFire)
-{
-    const auto &fs = findings();
-    // Template class with an uncovered member.
-    EXPECT_FALSE(hasMessage(fs, "serialize-contract", "'Box'"));
-    // Pure-virtual interface with an interface-level member.
-    EXPECT_FALSE(
-        hasMessage(fs, "serialize-contract", "'Checkpointable'"));
-    // static constexpr / const / reference members of Good.
-    EXPECT_EQ(countOf(fs, "serialize-contract", "src/good.hh"), 0u);
-}
-
-TEST_F(SerialFixtureRun, OutOfLineBodiesAreAttachedAcrossFiles)
-{
-    const auto &fs = findings();
-    // split.hh declares the pair; split.cc holds full coverage. Both
-    // a missing-body finding and per-member findings would be wrong.
-    EXPECT_FALSE(hasMessage(fs, "serialize-contract",
-                            "'Split' declares"));
-    EXPECT_FALSE(hasMessage(fs, "serialize-contract", "'ticks'"));
-    EXPECT_FALSE(hasMessage(fs, "serialize-contract", "'ops'"));
-}
-
-TEST_F(SerialFixtureRun, InventoryExposesPerMemberStatus)
-{
-    (void)findings(); // ensure the run happened
-    const auto &classes = linter().serialClasses();
-    const auto good = std::find_if(
-        classes.begin(), classes.end(),
-        [](const SerialClass &c) { return c.name == "Good"; });
-    ASSERT_NE(good, classes.end());
-    const auto status = [&](const std::string &name) -> std::string {
-        for (const auto &m : good->members)
-            if (m.name == name)
-                return !m.exempt.empty()  ? m.exempt
-                       : m.skipped        ? "skipped"
-                       : m.inSerialize && m.inDeserialize
-                           ? "covered"
-                           : "missing";
-        return "absent";
-    };
-    EXPECT_EQ(status("a"), "covered");
-    EXPECT_EQ(status("streamVersion"), "static");
-    EXPECT_EQ(status("geometry"), "const");
-    EXPECT_EQ(status("reg"), "reference");
-
-    const auto skipped = std::find_if(
-        classes.begin(), classes.end(),
-        [](const SerialClass &c) { return c.name == "Skipped"; });
-    ASSERT_NE(skipped, classes.end());
-    bool sawSkip = false;
-    for (const auto &m : skipped->members)
-        if (m.name == "cacheOnly")
-            sawSkip = m.skipped;
-    EXPECT_TRUE(sawSkip);
-}
-
-TEST(SerialMutation, DeletingOneWriteYieldsExactlyOneFinding)
-{
-    // The seeded-mutation acceptance check, in memory: take the clean
-    // fixture class, delete the single "s.putU64(b);" line, and the
-    // contract must report exactly one finding naming 'b'.
-    std::string code = readFile(std::string(MCT_LINT_FIXTURES) +
-                                "/serial/src/good.hh");
-    const std::string victim = "s.putU64(b);";
-    const auto at = code.find(victim);
-    ASSERT_NE(at, std::string::npos);
-    code.erase(at, victim.size());
-
-    auto classes =
-        extractSerialClasses(preprocess("src/good.hh", code));
-    RuleSpec rule;
-    rule.id = "serialize-contract";
-    rule.builtin = "serialize-contract";
-    std::vector<Finding> fs;
-    checkSerialContract(rule, classes, fs);
-    ASSERT_EQ(fs.size(), 1u);
-    EXPECT_NE(fs[0].message.find("member 'b' of 'Good' is never "
-                                 "written"),
-              std::string::npos);
 }
 
 TEST(FixtureExtraction, DynamicPathsBecomeHoles)

@@ -29,8 +29,14 @@ class TempFile
   public:
     explicit TempFile(const std::string &text)
     {
+        // ctest runs each test in its own process, in parallel, so the
+        // counter alone would collide across tests; the test's name
+        // keeps the paths apart.
         static int seq = 0;
+        const auto *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         path_ = std::string(::testing::TempDir()) + "mct_report_" +
+                test->test_suite_name() + "." + test->name() + "_" +
                 std::to_string(++seq) + ".json";
         std::ofstream os(path_, std::ios::binary);
         os << text;

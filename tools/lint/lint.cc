@@ -98,8 +98,6 @@ parseRules(const std::string &text, RulesFile &out, std::string &error)
             cur->names = splitCommas(val);
         else if (key == "docs")
             cur->docs = val;
-        else if (key == "skip")
-            cur->skips.push_back(val);
         else if (key == "message")
             cur->message = val;
         else {
@@ -413,8 +411,6 @@ Linter::run(const std::vector<std::string> &roots)
             runDiscardedResult(rule, files, out);
         else if (rule.builtin == "include-hygiene")
             runIncludeHygiene(rule, files, out);
-        else if (rule.builtin == "serialize-contract")
-            runSerializeContract(rule, files, out);
         else if (rule.builtin == "doc-contract")
             runDocContract(rule, files, out);
         else

@@ -20,9 +20,9 @@
  * regex, the scope globs, the allowlist, and the message, so new bans
  * do not require recompiling the tool. A small set of named builtin
  * analyses (stat-contract, nonfinite-gauge, discarded-result,
- * include-hygiene, serialize-contract, doc-contract) carry the
- * checks that need real parsing; rules.txt still owns their scope,
- * allowlist, and configuration.
+ * include-hygiene, doc-contract) carry the checks that need real
+ * parsing; rules.txt still owns their scope, allowlist, and
+ * configuration.
  *
  * Findings print as "file:line: [rule-id] message" and the process
  * exits non-zero when any finding survives, so the lint target gates
@@ -50,8 +50,7 @@ struct RuleSpec
     /**
      * Name of a compiled-in analysis ("stat-contract",
      * "nonfinite-gauge", "discarded-result", "include-hygiene",
-     * "serialize-contract", "doc-contract"); empty for pattern
-     * rules.
+     * "doc-contract"); empty for pattern rules.
      */
     std::string builtin;
 
@@ -63,15 +62,6 @@ struct RuleSpec
 
     /** Function names for the discarded-result builtin. */
     std::vector<std::string> names;
-
-    /**
-     * Reviewed skip manifest for the serialize-contract builtin:
-     * "Class::member" entries for members deliberately left out of a
-     * checkpoint (derived caches, construction-time geometry,
-     * registry-owned wiring). No inline suppressions, per house
-     * style; stale entries are themselves findings.
-     */
-    std::vector<std::string> skips;
 
     /** Documentation file for the stat-contract builtin. */
     std::string docs;
@@ -101,7 +91,6 @@ struct RulesFile
  *       allow    <glob>        (repeatable)
  *       names    <a,b,c>
  *       docs     <path>
- *       skip     <Class>::<member>   (repeatable)
  *       message  <text to end of line>
  *
  * On error returns false and sets @p error to "line N: why".
@@ -170,79 +159,6 @@ struct StatReg
 /** Extract StatRegistry registrations from one file. */
 std::vector<StatReg> extractStatRegs(const SourceFile &src);
 
-/** One data member of a class declaring serialize(Serializer&). */
-struct SerialMember
-{
-    std::string name;
-    int line = 0; ///< declaration line (1-based)
-
-    /**
-     * Why the member is outside the contract: "" when checked,
-     * "static" (static/constexpr), "const", or "reference". Exempt
-     * members are inventoried but never produce findings.
-     */
-    std::string exempt;
-
-    // Coverage, filled by checkSerialContract (for --dump).
-    bool skipped = false;      ///< skip manifest entry matched
-    bool inSerialize = false;  ///< touched by the serialize body
-    bool inDeserialize = false;///< touched by the deserialize body
-};
-
-/** A class participating in the checkpoint serialization contract. */
-struct SerialClass
-{
-    std::string name;
-    std::string file; ///< file holding the class definition
-    int line = 0;     ///< line of the class-head keyword
-
-    /** Template classes are exempt (bodies cannot be located
-     *  reliably without instantiation). */
-    bool isTemplate = false;
-
-    /** serialize / deserialize declared pure virtual (interface). */
-    bool pureSerialize = false;
-    bool pureDeserialize = false;
-
-    /** The class body declares deserialize(Deserializer&) at all. */
-    bool declaresDeserialize = false;
-
-    /** Depth-1 data members in declaration order. */
-    std::vector<SerialMember> members;
-
-    // Bodies (comment/string-stripped), attached from the class body
-    // itself when inline or from any scanned file when out-of-line.
-    std::string serBody, deserBody;
-    std::string serFile, deserFile;
-    int serLine = 0, deserLine = 0;
-};
-
-/**
- * Extract every non-forward class/struct definition in @p src that
- * declares serialize(Serializer&), with its member inventory and any
- * inline serialize/deserialize bodies.
- */
-std::vector<SerialClass> extractSerialClasses(const SourceFile &src);
-
-/**
- * Attach out-of-line `C::serialize` / `C::deserialize` bodies found
- * in @p src to the matching classes (first definition wins).
- */
-void attachSerialBodies(const SourceFile &src,
-                        std::vector<SerialClass> &classes);
-
-/**
- * Cross-check each class's member inventory against its
- * serialize/deserialize bodies: every non-exempt member must be
- * touched by both bodies, first-touch order must agree, and
- * deliberate gaps must be declared as `skip Class::member` manifest
- * entries on @p rule (stale entries are findings too). Fills the
- * per-member coverage flags as a side effect.
- */
-void checkSerialContract(const RuleSpec &rule,
-                         std::vector<SerialClass> &classes,
-                         std::vector<Finding> &out);
-
 /** Extract TraceEventType names ("phase_change", ...) from a file
  *  containing the toString(TraceEventType) switch. */
 std::vector<std::string> extractEventNames(const SourceFile &src);
@@ -290,19 +206,11 @@ class Linter
         return events_;
     }
 
-    /** Classes found by the last run's serialize-contract pass,
-     *  with per-member coverage filled in (drives --dump). */
-    const std::vector<SerialClass> &serialClasses() const
-    {
-        return serials_;
-    }
-
   private:
     RulesFile rules_;
     std::string root_;
     std::vector<StatReg> stats_;
     std::vector<std::string> events_;
-    std::vector<SerialClass> serials_;
 
     std::vector<SourceFile> gather(const std::vector<std::string> &roots);
 
@@ -321,9 +229,6 @@ class Linter
     void runIncludeHygiene(const RuleSpec &rule,
                            const std::vector<SourceFile> &files,
                            std::vector<Finding> &out) const;
-    void runSerializeContract(const RuleSpec &rule,
-                              const std::vector<SourceFile> &files,
-                              std::vector<Finding> &out);
     void runDocContract(const RuleSpec &rule,
                         const std::vector<SourceFile> &files,
                         std::vector<Finding> &out) const;

@@ -21,10 +21,8 @@
  * (generated code, umbrella headers) without editing rules.txt.
  *
  * --dump prints the extracted instrumentation contract (stat path
- * patterns and event type names) and the serialization inventory
- * (class -> members with covered/skipped/exempt status) instead of
- * linting; it is the source of truth for the tables in
- * docs/observability.md.
+ * patterns and event type names) instead of linting; it is the
+ * source of truth for the tables in docs/observability.md.
  *
  * --emit-doc-table rewrites the marker-delimited contract tables in
  * the stat-contract rule's docs file in place from that extraction:
@@ -189,26 +187,6 @@ main(int argc, char **argv)
         std::cout << "# event types\n";
         for (const auto &name : linter.eventNames())
             std::cout << name << "\n";
-        std::cout << "# serialization inventory (class -> members)\n";
-        for (const auto &cls : linter.serialClasses()) {
-            std::cout << cls.name << "\t" << cls.file << ":"
-                      << cls.line
-                      << (cls.isTemplate ? "\t(template-exempt)" : "")
-                      << "\n";
-            for (const auto &m : cls.members) {
-                const char *status =
-                    cls.isTemplate
-                        ? "exempt"
-                        : !m.exempt.empty()
-                              ? m.exempt.c_str()
-                              : m.skipped
-                                    ? "skipped"
-                                    : m.inSerialize && m.inDeserialize
-                                          ? "covered"
-                                          : "MISSING";
-                std::cout << "  " << m.name << "\t" << status << "\n";
-            }
-        }
         return 0;
     }
 

@@ -647,34 +647,23 @@ struct DriverState
     InstCount lastCapture = 0; ///< inst of the last periodic capture
     std::vector<PeriodicDelta> periodic;
 
+    template <class Ar>
     void
-    serialize(Serializer &s) const
+    io(Ar &ar)
     {
-        s.putBool(warmupDone);
-        s0.serialize(s);
-        serializeSnapshot(s, prev);
-        s.putU64(lastCapture);
-        s.putU64(periodic.size());
-        for (const PeriodicDelta &pd : periodic) {
-            s.putU64(pd.inst);
-            serializeSnapshot(s, pd.delta);
-        }
-        s.putU64(jsonNonfiniteCount());
-    }
-
-    void
-    deserialize(Deserializer &d)
-    {
-        warmupDone = d.getBool();
-        s0.deserialize(d);
-        prev = deserializeSnapshot(d);
-        lastCapture = d.getU64();
-        periodic.resize(d.getU64());
-        for (PeriodicDelta &pd : periodic) {
-            pd.inst = d.getU64();
-            pd.delta = deserializeSnapshot(d);
-        }
-        restoreJsonNonfiniteCount(d.getU64());
+        ar.flag(warmupDone);
+        s0.io(ar);
+        ioSnapshot(ar, prev);
+        ar.u64(lastCapture);
+        ar.seq(periodic, [&ar](PeriodicDelta &pd) {
+            ar.u64(pd.inst);
+            ioSnapshot(ar, pd.delta);
+        });
+        // The JSON writer's non-finite tally is process-global state.
+        std::uint64_t nonfinite = jsonNonfiniteCount();
+        ar.u64(nonfinite);
+        if constexpr (Ar::reading)
+            restoreJsonNonfiniteCount(nonfinite);
     }
 };
 
@@ -749,7 +738,7 @@ class CkptSession
         sys_.serialize(s);
         if (ctl)
             ctl->serialize(s);
-        ds.serialize(s);
+        ds.io(s);
         s.putBool(inj != nullptr);
         if (inj)
             inj->serialize(s);
@@ -888,7 +877,7 @@ restoreFromCheckpoint(CheckpointStore &store, const CkptSession &sess,
     sys.deserialize(d);
     if (ctl)
         ctl->deserialize(d);
-    ds.deserialize(d);
+    ds.io(d);
     const bool hasInj = d.getBool();
     if (hasInj) {
         if (!inj)
@@ -896,6 +885,8 @@ restoreFromCheckpoint(CheckpointStore &store, const CkptSession &sess,
                       "state but no --faults plan was given");
         inj->deserialize(d);
     }
+    if (!d.ok())
+        mct_fatal("--resume: malformed checkpoint payload");
     if (!d.atEnd())
         mct_panic("checkpoint payload has trailing bytes");
     store.noteResume();
