@@ -1,5 +1,5 @@
-# One binary per paper table/figure, plus ablations and Google-
-# Benchmark microbenchmarks. Included from the top-level CMakeLists
+# One binary per paper table/figure, plus ablations and the fault-plan
+# robustness table. Included from the top-level CMakeLists
 # (not add_subdirectory) so ${CMAKE_BINARY_DIR}/bench holds ONLY the
 # bench executables: the canonical run command is
 #     for b in build/bench/*; do $b; done
@@ -7,7 +7,7 @@
 
 function(mct_add_bench name)
     add_executable(${name} ${CMAKE_CURRENT_LIST_DIR}/${name}.cc)
-    target_link_libraries(${name} PRIVATE mct_core benchmark::benchmark)
+    target_link_libraries(${name} PRIVATE mct_core)
     set_target_properties(${name} PROPERTIES
         RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
@@ -26,5 +26,4 @@ mct_add_bench(bench_fig8_lifetime_sensitivity)
 mct_add_bench(bench_fig9_sampling_overhead)
 mct_add_bench(bench_fig10_multiprogram)
 mct_add_bench(bench_ablation_mct)
-mct_add_bench(bench_micro_perf)
 mct_add_bench(bench_faults)

@@ -523,9 +523,9 @@ AlertEngine::appendFinal(std::map<std::string, double> &fin) const
 void
 AlertEngine::writeJsonl(std::ostream &os) const
 {
+    JsonWriter w(os);
     for (const LogEntry &e : log()) {
         const AlertRule &r = rules_[e.rule];
-        JsonWriter w(os);
         w.beginObject();
         w.kv("ev", e.raisedEv ? "alert_raised" : "alert_cleared");
         w.kv("window", e.window);

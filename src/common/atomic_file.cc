@@ -10,7 +10,8 @@ namespace mct
 {
 
 bool
-writeFileAtomic(const std::string &path, std::string_view content)
+writeFileAtomic(const std::string &path,
+                std::initializer_list<std::string_view> parts)
 {
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
@@ -18,9 +19,11 @@ writeFileAtomic(const std::string &path, std::string_view content)
         mct_warn("atomic write: cannot open ", tmp);
         return false;
     }
-    bool good = content.empty() ||
-                std::fwrite(content.data(), 1, content.size(), f) ==
-                    content.size();
+    bool good = true;
+    for (const std::string_view part : parts)
+        good = good && (part.empty() ||
+                        std::fwrite(part.data(), 1, part.size(), f) ==
+                            part.size());
     good = good && std::fflush(f) == 0;
     // Flush the staged bytes to stable storage before the rename makes
     // them visible, so a crash cannot publish an empty or partial file.
@@ -40,7 +43,7 @@ AtomicFile::commit()
 {
     if (committed)
         return true;
-    committed = writeFileAtomic(target, os.str());
+    committed = writeFileAtomic(target, os.view());
     return committed;
 }
 

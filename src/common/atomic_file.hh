@@ -11,6 +11,7 @@
 #ifndef MCT_COMMON_ATOMIC_FILE_HH
 #define MCT_COMMON_ATOMIC_FILE_HH
 
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,12 +20,21 @@ namespace mct
 {
 
 /**
- * Write @p content to @p path atomically (stage, flush+fsync,
- * rename). Returns false and cleans up the staging file on any
- * failure; the target is either fully replaced or untouched.
+ * Write the concatenation of @p parts to @p path atomically (stage,
+ * flush+fsync, rename). Returns false and cleans up the staging file
+ * on any failure; the target is either fully replaced or untouched.
  */
-[[nodiscard]] bool writeFileAtomic(const std::string &path,
-                                   std::string_view content);
+[[nodiscard]] bool
+writeFileAtomic(const std::string &path,
+                std::initializer_list<std::string_view> parts);
+
+/** writeFileAtomic() of a single part. */
+[[nodiscard]] inline bool
+writeFileAtomic(const std::string &path, std::string_view content)
+{
+    return writeFileAtomic(path,
+                           std::initializer_list<std::string_view>{content});
+}
 
 /**
  * Stream-style wrapper over writeFileAtomic for emitters built around

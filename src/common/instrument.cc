@@ -429,8 +429,8 @@ EventTrace::clear()
 void
 EventTrace::writeJsonl(std::ostream &os) const
 {
+    JsonWriter w(os);
     for (const TraceEvent &e : events()) {
-        JsonWriter w(os);
         const auto names = traceArgNames(e.type);
         w.beginObject();
         w.kv("ev", toString(e.type));
@@ -568,14 +568,19 @@ SpanTrace::begin(std::uint64_t id, Addr addr, bool isWrite, Tick now)
     curValid = false;
     if ((id & seqMask) % every != 0)
         return;
-    OpenSpan &o = open[id];
-    o.rec = SpanRecord{};
+    OpenSpan o;
+    o.id = id;
     o.rec.id = id;
     o.rec.addr = addr;
     o.rec.isWrite = isWrite;
     o.rec.inst = clock ? *clock : 0;
     o.rec.begin = now;
-    o.openBits = 0;
+    // begin() on an open id starts the span over.
+    const auto it = lowerBound(id);
+    if (it != open.end() && it->id == id)
+        *it = o;
+    else
+        open.insert(it, o);
     curId = id;
     curValid = true;
 }
@@ -585,10 +590,10 @@ SpanTrace::probe(SpanStage stage, bool hit)
 {
     if (every == 0 || !curValid)
         return;
-    const auto it = open.find(curId);
-    if (it == open.end())
+    OpenSpan *const found = findOpen(curId);
+    if (!found)
         return;
-    OpenSpan &o = it->second;
+    OpenSpan &o = *found;
     const auto s = static_cast<std::size_t>(stage);
     o.rec.enter[s] = o.rec.begin;
     o.rec.exit[s] = o.rec.begin;
@@ -602,10 +607,10 @@ SpanTrace::stageEnter(std::uint64_t id, SpanStage stage, Tick now)
 {
     if (every == 0)
         return;
-    const auto it = open.find(id);
-    if (it == open.end())
+    OpenSpan *const found = findOpen(id);
+    if (!found)
         return;
-    OpenSpan &o = it->second;
+    OpenSpan &o = *found;
     const auto s = static_cast<std::size_t>(stage);
     o.rec.enter[s] = now;
     o.rec.exit[s] = now;
@@ -619,10 +624,10 @@ SpanTrace::stageMark(std::uint64_t id, SpanStage stage, Tick from,
 {
     if (every == 0)
         return;
-    const auto it = open.find(id);
-    if (it == open.end())
+    OpenSpan *const found = findOpen(id);
+    if (!found)
         return;
-    OpenSpan &o = it->second;
+    OpenSpan &o = *found;
     const auto s = static_cast<std::size_t>(stage);
     o.rec.enter[s] = from;
     o.rec.exit[s] = to;
@@ -635,10 +640,10 @@ SpanTrace::end(std::uint64_t id, Tick now, int hitLevel)
 {
     if (every == 0)
         return;
-    const auto it = open.find(id);
-    if (it == open.end())
+    const auto it = lowerBound(id);
+    if (it == open.end() || it->id != id)
         return;
-    OpenSpan &o = it->second;
+    OpenSpan &o = *it;
     o.rec.end = now;
     o.rec.hitLevel = hitLevel;
     for (std::size_t s = 0; s < numSpanStages; ++s)
@@ -666,6 +671,26 @@ SpanTrace::end(std::uint64_t id, Tick now, int hitLevel)
     open.erase(it);
     if (curValid && curId == id)
         curValid = false;
+}
+
+std::vector<SpanTrace::OpenSpan>::iterator
+SpanTrace::lowerBound(std::uint64_t id)
+{
+    // Ids rise per core, so the newest span is the usual target.
+    if (open.empty() || open.back().id < id)
+        return open.end();
+    if (open.back().id == id)
+        return open.end() - 1;
+    return std::lower_bound(
+        open.begin(), open.end(), id,
+        [](const OpenSpan &o, std::uint64_t key) { return o.id < key; });
+}
+
+SpanTrace::OpenSpan *
+SpanTrace::findOpen(std::uint64_t id)
+{
+    const auto it = lowerBound(id);
+    return it != open.end() && it->id == id ? &*it : nullptr;
 }
 
 void
@@ -701,8 +726,8 @@ SpanTrace::clear()
 void
 SpanTrace::writeJsonl(std::ostream &os) const
 {
+    JsonWriter w(os);
     for (const SpanRecord &r : spans()) {
-        JsonWriter w(os);
         w.beginObject();
         w.kv("id", r.id);
         w.kv("addr", static_cast<std::uint64_t>(r.addr));
@@ -951,8 +976,8 @@ writeProvenanceRecord(JsonWriter &w, const ProvenanceRecord &r)
 void
 ProvenanceTrace::writeJsonl(std::ostream &os) const
 {
+    JsonWriter w(os);
     for (const ProvenanceRecord &r : records()) {
-        JsonWriter w(os);
         writeProvenanceRecord(w, r);
         os << '\n';
     }
@@ -1732,11 +1757,24 @@ SpanTrace::io(Ar &ar)
     ar.flag(curValid);
     for (SpanRecord &r : ring)
         ioSpan(ar, r);
-    ar.seq(open, [&ar](auto &kv) {
-        ar.u64(kv.first);
-        ioSpan(ar, kv.second.rec);
-        ar.u8(kv.second.openBits);
+    ar.seq(open, [&ar](OpenSpan &o) {
+        ar.u64(o.id);
+        ioSpan(ar, o.rec);
+        ar.u8(o.openBits);
     });
+    if constexpr (Ar::reading) {
+        // Keep the table's order whatever the stream holds: ascending
+        // ids, the first of any repeated id winning, as a map kept it.
+        const auto byId = [](const OpenSpan &a, const OpenSpan &b) {
+            return a.id < b.id;
+        };
+        std::stable_sort(open.begin(), open.end(), byId);
+        open.erase(std::unique(open.begin(), open.end(),
+                               [](const OpenSpan &a, const OpenSpan &b) {
+                                   return a.id == b.id;
+                               }),
+                   open.end());
+    }
 }
 
 template void SpanTrace::io(Serializer &);

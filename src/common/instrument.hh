@@ -561,12 +561,15 @@ class SpanTrace
 
     struct OpenSpan
     {
+        std::uint64_t id = 0;
         SpanRecord rec;
         std::uint8_t openBits = 0; ///< stages begun but not yet closed
     };
 
     std::vector<SpanRecord> ring;
-    std::map<std::uint64_t, OpenSpan> open;
+    /** In-flight spans by ascending id: ids rise per core and at most
+     *  MSHRs + 1 are open at once, so a sorted vector beats a map. */
+    std::vector<OpenSpan> open;
     std::uint64_t every = 0;
     std::size_t cap = 0;
     std::size_t head = 0;
@@ -580,6 +583,12 @@ class SpanTrace
     const InstCount *clock = nullptr;
 
     void push(const SpanRecord &rec);
+
+    /** The first open span whose id is not below @p id. */
+    std::vector<OpenSpan>::iterator lowerBound(std::uint64_t id);
+
+    /** The open span @p id, or nullptr. */
+    OpenSpan *findOpen(std::uint64_t id);
 };
 
 /** Objectives a ProvenanceRecord audits, in storage order. */

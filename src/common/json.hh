@@ -10,15 +10,14 @@
 #ifndef MCT_COMMON_JSON_HH
 #define MCT_COMMON_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace mct
 {
-
-/** Escape a string for inclusion inside JSON double quotes. */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Format a double as a JSON number. NaN/Inf have no JSON spelling and
@@ -42,6 +41,13 @@ void restoreJsonNonfiniteCount(std::uint64_t value);
  * caller supplies structure through begin/end calls; the writer
  * inserts commas and key quoting. No pretty-printing beyond newlines
  * between top-level members (jq handles the rest).
+ *
+ * Output collects in a small buffer of the writer's own and reaches
+ * the stream when a top-level value closes or the buffer passes
+ * flushBytes, so every value must be closed. The rule that follows:
+ * while a writer is open, raw writes to its stream happen only
+ * between top-level values (a record loop's `os << '\n'`), never
+ * inside one. One writer may emit many top-level values in a row.
  */
 class JsonWriter
 {
@@ -54,10 +60,10 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Start a keyed member inside an object (value follows). */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &value(std::string_view v);
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
@@ -67,19 +73,29 @@ class JsonWriter
     /** Shorthand: key followed by a scalar value. */
     template <typename T>
     JsonWriter &
-    kv(const std::string &k, const T &v)
+    kv(std::string_view k, const T &v)
     {
         key(k);
         return value(v);
     }
 
   private:
+    /** Buffered bytes past which the writer flushes mid-value. */
+    static constexpr std::size_t flushBytes = 4096;
+
     std::ostream &out;
+    std::string buf;
     /** Whether a comma is owed before the next element, per depth. */
     std::string pending; // stack of '0'/'1' flags, one char per depth
     bool afterKey = false;
 
     void separate();
+    /** Append @p s quoted, escaping as it goes. */
+    void quoted(std::string_view s);
+    /** End of a call: flush once no value is open or the buffer is
+     *  full. */
+    JsonWriter &closed();
+    void flush();
 };
 
 } // namespace mct

@@ -1,5 +1,6 @@
 #include "common/serialize.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace mct
@@ -17,18 +18,54 @@ fnv1a(const void *data, std::size_t size, std::uint64_t seed)
     return h;
 }
 
+namespace
+{
+
+/** @p v's bytes, least significant first, on any host. */
+template <typename T>
+T
+littleEndian(T v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 8)
+            return __builtin_bswap64(v);
+        else
+            return __builtin_bswap32(v);
+    }
+    return v;
+}
+
+/** Append @p v's little-endian bytes to @p buf in one copy. */
+template <typename T>
+void
+appendWord(std::string &buf, T v)
+{
+    v = littleEndian(v);
+    buf.append(reinterpret_cast<const char *>(&v), sizeof(T));
+}
+
+/** Read the little-endian word at @p at in one copy. */
+template <typename T>
+T
+loadWord(const unsigned char *at)
+{
+    T v = 0;
+    std::memcpy(&v, at, sizeof(T));
+    return littleEndian(v);
+}
+
+} // namespace
+
 void
 Serializer::putU32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+    appendWord(buf, v);
 }
 
 void
 Serializer::putU64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+    appendWord(buf, v);
 }
 
 void
@@ -72,10 +109,7 @@ Deserializer::getU32()
     const unsigned char *at = take(4);
     if (!at)
         return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(at[i]) << (8 * i);
-    return v;
+    return loadWord<std::uint32_t>(at);
 }
 
 std::uint64_t
@@ -84,10 +118,7 @@ Deserializer::getU64()
     const unsigned char *at = take(8);
     if (!at)
         return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(at[i]) << (8 * i);
-    return v;
+    return loadWord<std::uint64_t>(at);
 }
 
 double
@@ -99,8 +130,8 @@ Deserializer::getF64()
     return v;
 }
 
-std::string
-Deserializer::getStr()
+std::string_view
+Deserializer::getStrView()
 {
     const std::uint64_t len = getU64();
     if (!good || len > n - pos) {
@@ -108,9 +139,14 @@ Deserializer::getStr()
         return {};
     }
     const unsigned char *at = take(static_cast<std::size_t>(len));
-    return at ? std::string(reinterpret_cast<const char *>(at),
-                            static_cast<std::size_t>(len))
-              : std::string{};
+    return {reinterpret_cast<const char *>(at),
+            static_cast<std::size_t>(len)};
+}
+
+std::string
+Deserializer::getStr()
+{
+    return std::string(getStrView());
 }
 
 } // namespace mct

@@ -183,6 +183,9 @@ class Deserializer
     std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
     double getF64();
     std::string getStr();
+    /** A length-prefixed string read in place: it views the decoded
+     *  buffer, which must outlive it. */
+    std::string_view getStrView();
 
     template <typename... T>
     void u8(T &...v) { ((v = static_cast<T>(getU8())), ...); }

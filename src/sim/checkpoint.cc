@@ -1,8 +1,8 @@
 #include "sim/checkpoint.hh"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hh"
 #include "common/instrument.hh"
@@ -18,6 +18,22 @@ namespace
 constexpr char checkpointMagic[8] = {'M', 'C', 'T', 'C',
                                      'K', 'P', 'T', '\0'};
 
+/** Read all of @p file into @p body, sized from the file; false when
+ *  it cannot be opened. */
+bool
+readSlotFile(const std::string &file, std::string &body)
+{
+    std::ifstream in(file, std::ios::binary);
+    if (!in)
+        return false;
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(file, ec);
+    body.resize(ec ? 0 : static_cast<std::size_t>(size));
+    in.read(body.data(), static_cast<std::streamsize>(body.size()));
+    body.resize(static_cast<std::size_t>(in.gcount()));
+    return true;
+}
+
 } // namespace
 
 CheckpointStore::CheckpointStore(std::string basePath)
@@ -31,7 +47,7 @@ CheckpointStore::CheckpointStore(std::string basePath)
     // resumed run never overwrites its newest slot with a lower
     // sequence number.
     for (const auto &slot : slots) {
-        const CheckpointLoadResult r = tryLoadSlot(slot);
+        const CheckpointLoadResult r = tryLoadSlot(slot, false);
         if (r.ok && r.sequence >= nextSeq) {
             nextSeq = r.sequence + 1;
             lastWritten = slot;
@@ -41,43 +57,46 @@ CheckpointStore::CheckpointStore(std::string basePath)
 
 bool
 CheckpointStore::save(const std::string &fingerprint,
-                      const std::string &payload)
+                      std::string_view payload)
 {
-    Serializer s;
+    // The payload goes out as it is, between a header and a footer
+    // whose checksum chains through both.
+    Serializer header;
     for (const char c : checkpointMagic)
-        s.putU8(static_cast<std::uint8_t>(c));
-    s.putU32(checkpointFormatVersion);
-    s.putU64(nextSeq);
-    s.putStr(fingerprint);
-    s.putStr(payload);
-    s.putU64(fnv1a(s.data().data(), s.size()));
+        header.putU8(static_cast<std::uint8_t>(c));
+    header.putU32(checkpointFormatVersion);
+    header.putU64(nextSeq);
+    header.putStr(fingerprint);
+    header.putU64(payload.size());
+    Serializer footer;
+    footer.putU64(fnv1a(payload.data(), payload.size(),
+                        fnv1a(header.data().data(), header.size())));
 
     // Alternate slots so the previous checkpoint survives until this
     // one is fully published.
     const std::string &slot = slots[nextSeq % 2];
-    if (!writeFileAtomic(slot, s.data())) {
+    if (!writeFileAtomic(slot,
+                         {header.data(), payload, footer.data()})) {
         mct_warn("checkpoint save failed: ", slot);
         return false;
     }
     lastWritten = slot;
     ++nextSeq;
     ++nWrites;
-    nBytesWritten += s.size();
+    nBytesWritten += header.size() + payload.size() + footer.size();
     return true;
 }
 
 CheckpointLoadResult
-CheckpointStore::tryLoadSlot(const std::string &file) const
+CheckpointStore::tryLoadSlot(const std::string &file,
+                             bool withPayload) const
 {
     CheckpointLoadResult r;
-    std::ifstream in(file, std::ios::binary);
-    if (!in) {
+    std::string body;
+    if (!readSlotFile(file, body)) {
         r.error = "missing";
         return r;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string body = buf.str();
 
     // Footer first: nothing is decoded until the checksum verifies.
     constexpr std::size_t minSize = sizeof(checkpointMagic) + 4 + 8 +
@@ -112,11 +131,13 @@ CheckpointStore::tryLoadSlot(const std::string &file) const
     }
     r.sequence = d.getU64();
     r.fingerprint = d.getStr();
-    r.payload = d.getStr();
+    const std::string_view payload = d.getStrView();
     if (!d.atEnd()) {
         r.error = "malformed body";
         return r;
     }
+    if (withPayload)
+        r.payload = payload;
     r.slotFile = file;
     r.ok = true;
     return r;
@@ -139,7 +160,7 @@ CheckpointStore::load()
     bool sawCorrupt = false;
     std::string errors;
     for (const auto &slot : slots) {
-        CheckpointLoadResult r = tryLoadSlot(slot);
+        CheckpointLoadResult r = tryLoadSlot(slot, true);
         if (r.ok) {
             if (!best.ok || r.sequence > best.sequence)
                 best = std::move(r);

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mct
 {
@@ -83,7 +84,7 @@ class CheckpointStore
      * way.
      */
     [[nodiscard]] bool save(const std::string &fingerprint,
-                            const std::string &payload);
+                            std::string_view payload);
 
     /**
      * Validate both slots and decode the one with the highest
@@ -122,8 +123,10 @@ class CheckpointStore
     std::uint64_t nCorruptLoads = 0;
     std::uint64_t nResumes = 0;
 
-    /** Decode one slot; ok=false with error when invalid/missing. */
-    CheckpointLoadResult tryLoadSlot(const std::string &file) const;
+    /** Decode one slot; ok=false with error when invalid/missing.
+     *  The payload is copied out only when @p withPayload is set. */
+    CheckpointLoadResult tryLoadSlot(const std::string &file,
+                                     bool withPayload) const;
 
     /** Rename a failed slot to <slot>.corrupt and count it. */
     void quarantine(const std::string &file);

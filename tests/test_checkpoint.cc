@@ -461,6 +461,55 @@ TEST(CheckpointFormat, ScriptedObserverBytesArePinned)
     EXPECT_EQ(digest(alerts), 0x577f5976b093aeceULL);
 }
 
+TEST(CheckpointFormat, InFlightSpanBytesArePinned)
+{
+    // Spans from two cores, closed out of the order they opened in,
+    // wrap the four-slot ring and leave three open, one of them
+    // re-begun while open: the open-span table's bytes are pinned.
+    SpanTrace spans;
+    spans.enable(2, 4);
+    InstCount now = 100;
+    spans.setClock(&now);
+    const std::uint64_t core1 = 1ULL << 56;
+    const auto open = [&](std::uint64_t id, Tick at, bool l1Hit) {
+        spans.begin(id, 0x1000 + 64 * (id & 0xff), id % 3 == 0, at);
+        spans.probe(SpanStage::L1, l1Hit);
+        if (!l1Hit) {
+            spans.probe(SpanStage::L2, false);
+            spans.probe(SpanStage::Llc, false);
+            spans.stageEnter(id, SpanStage::Mshr, at + 5);
+        }
+        now += 7;
+    };
+    open(0, 1000, false);
+    open(1, 1010, false); // off the sampling grid: ignored
+    open(2, 1020, true);
+    open(core1 | 2, 1030, false);
+    open(4, 1040, false);
+    spans.stageMark(4, SpanStage::CtrlQueue, 1100, 1180);
+    spans.stageMark(0, SpanStage::CtrlQueue, 1060, 1090);
+    spans.stageMark(0, SpanStage::Bank, 1090, 1150);
+    spans.stageMark(0, SpanStage::Device, 1095, 1140);
+    spans.end(2, 1200, 1);
+    spans.end(4, 1260, 0);
+    open(6, 1270, false);
+    open(core1 | 4, 1280, true);
+    spans.end(core1 | 2, 1300, 0);
+    spans.end(0, 1310, 0);
+    open(8, 1320, false);
+    spans.stageMark(8, SpanStage::Bank, 1330, 1400);
+    spans.end(core1 | 4, 1410, 2);
+    spans.end(8, 1420, 0);
+    spans.end(3, 1430, 0); // never opened: ignored
+    open(10, 1440, false);
+    spans.stageMark(6, SpanStage::CtrlQueue, 1450, 1470);
+    open(6, 1480, true); // re-begun while open: starts over
+    open(core1 | 6, 1490, false);
+    ASSERT_EQ(spans.recorded(), 6u);
+    ASSERT_EQ(spans.size(), 4u);
+    EXPECT_EQ(digest(spans), 0xc84a3458f5c040bcULL);
+}
+
 TEST(SystemRoundTrip, HostileStreamCountFailsTheStream)
 {
     SystemParams sp;
@@ -551,6 +600,38 @@ TEST(CheckpointHostile, RingCursorsAreBoundedOnRestore)
     EXPECT_FALSE(restorePatched(aa, ab, 74, 1000));
     ab.observe(1000, hot);
     EXPECT_EQ(ab.log().size(), 1u);
+}
+
+TEST(CheckpointHostile, OpenSpanTableIsSortedOnRestore)
+{
+    // A stream that lists open span ids out of order, one of them
+    // twice, restores to ascending ids with the first copy kept.
+    const auto bytesAt = [](std::size_t cap) {
+        SpanTrace t;
+        t.enable(1, cap);
+        Serializer s;
+        t.io(s);
+        return s.size();
+    };
+    const std::size_t recordBytes = bytesAt(2) - bytesAt(1);
+    SpanTrace a, b;
+    a.enable(1, 2);
+    b.enable(1, 2);
+    a.begin(5, 0x50, false, 10);
+    a.begin(9, 0x90, false, 20);
+    a.begin(12, 0xc0, false, 30);
+    // every, cap, head, held, total, curId, curValid, the ring, then
+    // the open count and the first open id.
+    constexpr std::size_t word = sizeof(std::uint64_t);
+    const std::size_t firstId = 6 * word + 1 + 2 * recordBytes + word;
+    ASSERT_TRUE(restorePatched(a, b, firstId, 12)); // ids 12, 9, 12
+    b.end(5, 100, 0); // the id is gone from the table
+    b.end(9, 100, 0);
+    b.end(12, 100, 0);
+    const std::vector<SpanRecord> closed = b.spans();
+    ASSERT_EQ(closed.size(), 2u);
+    EXPECT_EQ(closed[0].addr, 0x90u);
+    EXPECT_EQ(closed[1].addr, 0x50u); // the first record listed as 12
 }
 
 TEST(SystemRoundTrip, RestoreReproducesStateBytes)

@@ -2,17 +2,23 @@
  * @file
  * Unit tests for the common utilities: statistics accumulators, the
  * sliding window behind the phase detector, Welch's t score, the
- * deterministic RNG, table formatting, and CSV round-trips.
+ * deterministic RNG, table formatting, CSV round-trips, and the JSON
+ * writer with its number formatter checked against a reference model.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/csv.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -330,6 +336,194 @@ TEST(Types, UnitRelations)
     // 2 GHz CPU, 400 MHz memory.
     EXPECT_EQ(tickSec / cpuCyclePs, 2000000000ull);
     EXPECT_EQ(tickSec / memCyclePs, 400000000ull);
+}
+
+/**
+ * The number formatter as it was written first, kept as the reference
+ * the fast one must match byte for byte: `%.0f` for integers below
+ * 1e15, else the `%.*g` with the fewest digits that `sscanf` reads
+ * back exactly, else `%.17g`.
+ */
+std::string
+referenceJsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        return buf;
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    for (int prec = 1; prec < 17; ++prec) {
+        char shorter[40];
+        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+        double back = 0.0;
+        std::sscanf(shorter, "%lf", &back);
+        if (back == v)
+            return shorter;
+    }
+    return buf;
+}
+
+/** About 100k doubles covering every region the formatter branches on. */
+std::vector<double>
+formatterProbes()
+{
+    using Lim = std::numeric_limits<double>;
+    std::vector<double> v;
+    Rng rng(2024);
+    // Random finite bit patterns: both signs, every exponent.
+    while (v.size() < 40000) {
+        const std::uint64_t bits = rng.next();
+        double d = 0.0;
+        std::memcpy(&d, &bits, sizeof(d));
+        if (std::isfinite(d))
+            v.push_back(d);
+    }
+    // Random subnormals (biased exponent 0).
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t bits =
+            (rng.next() & ((1ULL << 52) - 1)) | (rng.next() & (1ULL << 63));
+        double d = 0.0;
+        std::memcpy(&d, &bits, sizeof(d));
+        v.push_back(d);
+    }
+    // Every power of two with both neighbours.
+    for (int e = -1074; e <= 1023; ++e) {
+        const double p = std::ldexp(1.0, e);
+        v.push_back(p);
+        v.push_back(std::nextafter(p, 0.0));
+        v.push_back(std::nextafter(p, Lim::infinity()));
+    }
+    // Decimal grids.
+    for (int i = 1; i <= 10000; ++i) {
+        v.push_back(i / 1000.0);
+        v.push_back(i * 1e-7);
+        v.push_back(1.0 / i);
+        v.push_back(std::sqrt(static_cast<double>(i)));
+    }
+    // Integers and half-integers on both sides of the 1e15 switch.
+    for (int i = -1000; i <= 1000; ++i) {
+        const double n = 1e15 + i;
+        v.push_back(n);
+        v.push_back(n + 0.5);
+        v.push_back(-n);
+        v.push_back(-n - 0.5);
+    }
+    for (double d : {0.0, -0.0, Lim::denorm_min(), Lim::min(), Lim::max(),
+                     Lim::lowest(), -Lim::denorm_min(), -Lim::min()})
+        v.push_back(d);
+    return v;
+}
+
+TEST(JsonNumber, MatchesTheReferenceModel)
+{
+    const std::vector<double> probes = formatterProbes();
+    ASSERT_GE(probes.size(), 95000u);
+    std::size_t mismatches = 0;
+    for (const double d : probes) {
+        const std::string want = referenceJsonNumber(d);
+        const std::string got = jsonNumber(d);
+        if (got != want && ++mismatches <= 10)
+            ADD_FAILURE() << std::hexfloat << d << ": got "
+                          << got << ", reference " << want;
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumber, NonFiniteIsNullAndCountedThroughTheWriter)
+{
+    resetJsonNonfiniteCount();
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        w.beginArray()
+            .value(std::nan(""))
+            .value(-std::numeric_limits<double>::infinity())
+            .value(0.1)
+            .endArray();
+    }
+    EXPECT_EQ(os.str(), "[null,null,0.1]");
+    EXPECT_EQ(jsonNonfiniteCount(), 2u);
+    resetJsonNonfiniteCount();
+}
+
+TEST(JsonWriter, EscapesKeysAndStringsInPlace)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv(std::string("q\"b\\s\n\r\t"), std::string("a\x01z\x1f\x7f"));
+    w.kv("u", "caf\xc3\xa9");
+    w.endObject();
+    EXPECT_EQ(os.str(), "{\"q\\\"b\\\\s\\n\\r\\t\":\"a\\u0001z\\u001f\x7f\","
+                        "\"u\":\"caf\xc3\xa9\"}");
+}
+
+TEST(JsonWriter, RawWritesBetweenTopLevelValuesKeepTheirPlace)
+{
+    // One writer, many records: each closes, flushes, and the
+    // caller's newline lands after it.
+    std::ostringstream os;
+    JsonWriter w(os);
+    for (int i = 0; i < 3; ++i) {
+        w.beginObject();
+        w.kv("i", i);
+        w.kv("big", std::uint64_t{18446744073709551615ULL});
+        w.kv("neg", std::int64_t{-9223372036854775807LL - 1});
+        w.kv("ok", i == 1);
+        w.endObject();
+        os << '\n';
+    }
+    w.value(7);
+    os << '\n';
+    EXPECT_EQ(os.str(),
+              "{\"i\":0,\"big\":18446744073709551615,"
+              "\"neg\":-9223372036854775808,\"ok\":false}\n"
+              "{\"i\":1,\"big\":18446744073709551615,"
+              "\"neg\":-9223372036854775808,\"ok\":true}\n"
+              "{\"i\":2,\"big\":18446744073709551615,"
+              "\"neg\":-9223372036854775808,\"ok\":false}\n"
+              "7\n");
+}
+
+TEST(JsonWriter, LargeDocumentsFlushInOrder)
+{
+    // Far more than one buffer's worth, with strings longer than the
+    // buffer itself; the stream sees exactly the concatenation.
+    const std::string longText(10000, 'x');
+    std::ostringstream os;
+    std::string want = "[";
+    {
+        JsonWriter w(os);
+        w.beginArray();
+        for (int i = 0; i < 3000; ++i) {
+            if (i)
+                want += ',';
+            if (i % 1000 == 999) {
+                w.value(longText);
+                want += '"';
+                want += longText;
+                want += '"';
+            } else {
+                w.value(i * 0.25);
+                want += jsonNumber(i * 0.25);
+            }
+        }
+        w.endArray();
+        want += ']';
+    }
+    EXPECT_EQ(os.str(), want);
+}
+
+TEST(JsonWriter, FailedWriteFailsTheStream)
+{
+    std::ostream os(nullptr); // no buffer: every write fails
+    JsonWriter w(os);
+    w.beginObject().kv("a", 1).endObject();
+    EXPECT_TRUE(os.bad());
 }
 
 } // namespace

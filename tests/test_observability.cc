@@ -768,7 +768,7 @@ TEST(HostProfiler, CpuTimeIsMonotonicOnTheRealClock)
     // Burn a little CPU so the second reading has something to see.
     volatile double sink = 0.0;
     for (int i = 0; i < 200000; ++i)
-        sink += static_cast<double>(i) * 1e-9;
+        sink = sink + static_cast<double>(i) * 1e-9;
     (void)sink;
     const double cpu1 = p.elapsedCpuSeconds();
     EXPECT_GE(cpu0, 0.0);

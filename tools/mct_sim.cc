@@ -125,6 +125,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -733,6 +734,7 @@ class CkptSession
     bool
     save() const
     {
+        HostProfiler::Scope stage(sys_.hostProfiler(), "ckpt");
         Serializer s;
         s.putBool(ctl != nullptr);
         sys_.serialize(s);
@@ -1065,6 +1067,9 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
         a.path = path;
         artifacts.push_back(std::move(a));
     };
+    // Every surface written before the host profile itself.
+    std::optional<HostProfiler::Scope> emit(std::in_place,
+                                            sys.hostProfiler(), "emit");
     if (!t.statsJson.empty()) {
         if (!writeStatsDoc(t, mode, app, sys, ctl, periodic)) {
             std::fprintf(stderr, "cannot write '%s'\n",
@@ -1188,6 +1193,7 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
                         sys.alerts().cleared()));
         note("alerts", "", t.alertsOut);
     }
+    emit.reset();
     if (HostProfiler *hp = sys.hostProfiler()) {
         hp->sampleMemory(); // end-of-run RSS / high-water refresh
         if (!t.hostOut.empty()) {
