@@ -31,13 +31,16 @@ namespace mct::bench
 {
 
 /**
- * Per-process wall-clock stage profiler shared by the bench binaries
- * (trace replay vs. sampling vs. fit vs. optimize, Fig 9 context).
- * The accumulated stage timings are dumped as JSON at exit when a
- * destination was named, either with the --profile-out harness flag
- * (initHarness) or the historical MCT_BENCH_PROFILE env var fallback.
+ * Per-process host profiler shared by the bench binaries (trace
+ * replay vs. sweep vs. sampling vs. fit vs. optimize, Fig 9 context),
+ * enabled at first use. runMct and bench_table7's MCT runs attach it
+ * to the Systems they build, so the controller charges its sampling,
+ * fit and optimize stages to it. Its mct-host-v1 document is written
+ * at exit when a destination was named, either with the --profile-out
+ * harness flag (initHarness) or the MCT_BENCH_PROFILE env var
+ * fallback.
  */
-inline WallProfiler &profiler();
+inline HostProfiler &profiler();
 
 namespace detail
 {
@@ -108,7 +111,7 @@ armManifestDump()
             a.path = manifestRelative(path, artifact);
             m.artifacts.push_back(std::move(a));
         };
-        note("profile", "", profileDumpPath());
+        note("host", "mct-host-v1", profileDumpPath());
         note("bench_summary", "mct-bench-summary-v1",
              summary ? summary : "");
         AtomicFile f(path);
@@ -130,15 +133,17 @@ armProfileDump()
         const std::string &path = profileDumpPath();
         if (path.empty())
             return;
+        HostProfiler &p = profiler();
+        p.sampleMemory(); // end-of-run RSS / high-water refresh
         std::ofstream os(path);
         if (os)
-            profiler().writeJson(os);
+            p.writeJson(os, "bench", manifestBenchName(), "");
     });
 }
 
 } // namespace detail
 
-inline WallProfiler &
+inline HostProfiler &
 profiler()
 {
     // Benches that never call initHarness (or are driven by scripts
@@ -158,17 +163,22 @@ profiler()
         return true;
     }();
     (void)envFallback;
-    static WallProfiler &p = *new WallProfiler; // leaked, see detail above
+    static HostProfiler &p = *[] { // leaked, see detail above
+        auto *hp = new HostProfiler;
+        hp->enable();
+        return hp;
+    }();
     return p;
 }
 
 /**
  * Parse the shared bench harness command line. The flags are
  *
- *   --profile-out FILE   dump the WallProfiler stage timings to FILE
- *                        at exit (JSON; mct_report show --profile)
+ *   --profile-out FILE   write the host profiler's mct-host-v1
+ *                        document to FILE at exit (mct_report show
+ *                        --host)
  *   --manifest-out FILE  write an mct-manifest-v1 run manifest to
- *                        FILE at exit, listing the profile/summary
+ *                        FILE at exit, listing the host/summary
  *                        artifacts with sizes and FNV-1a checksums
  *                        (docs/observability.md; mct_report aggregate)
  *
@@ -217,7 +227,7 @@ initHarness(int argc, char **argv)
 /**
  * Machine-readable outcome of a bench binary. Benches record their
  * headline numbers with metric(); when the MCT_BENCH_JSON environment
- * variable names a file, the summary — metrics plus the WallProfiler
+ * variable names a file, the summary — metrics plus the host profiler's
  * stage timings — is written there as JSON at exit, in the BENCH_*.json
  * shape the CI perf-smoke job archives and mct_report consumes.
  */
@@ -297,10 +307,10 @@ class BenchSummary
         w.endObject();
         w.key("profile").beginObject();
         w.key("stages").beginArray();
-        for (const WallProfiler::Stage &s : profiler().stages()) {
+        for (const HostProfiler::Stage &s : profiler().stages()) {
             w.beginObject();
             w.kv("name", s.name);
-            w.kv("seconds", s.seconds);
+            w.kv("seconds", s.wallSeconds);
             w.kv("calls", s.calls);
             w.endObject();
         }
@@ -335,7 +345,7 @@ inline std::vector<Metrics>
 sweep(SweepCache &cache, const std::string &app,
       const std::vector<MellowConfig> &space)
 {
-    WallProfiler::Scope scope(&profiler(), "sweep");
+    HostProfiler::Scope scope(&profiler(), "sweep");
     return cache.getAll(app, space, true);
 }
 
@@ -408,15 +418,15 @@ runMct(SweepCache &cache, const std::string &app, PredictorKind kind,
 {
     SystemParams sp;
     System sys(app, sp, staticBaselineConfig());
+    sys.attachHostProfiler(&profiler());
     {
-        WallProfiler::Scope scope(&profiler(), "replay");
+        HostProfiler::Scope scope(&profiler(), "replay");
         sys.run(standardEvalParams().warmupInsts);
     }
 
     MctParams mp;
     mp.predictor = kind;
     mp.objective.minLifetimeYears = lifetimeTarget;
-    mp.profiler = &profiler();
     // Scaled-run substitution (MctParams::steadyMeasure): sample
     // objectives come from steady-state evaluations of the same 77
     // configurations, standing in for the paper's long (1B-insn)

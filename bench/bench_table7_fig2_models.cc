@@ -116,19 +116,19 @@ main(int argc, char **argv)
                     data.library = &libs[app][obj];
 
                     // Fit+predict cost via the sanctioned wall-clock
-                    // source (WallProfiler); raw std::chrono clocks
+                    // source (HostProfiler); raw std::chrono clocks
                     // are banned by mct_lint's det-wall-clock rule.
                     const double before =
-                        profiler().seconds("model_fit");
+                        profiler().wallSeconds("model_fit");
                     ml::Vector pred;
                     {
-                        WallProfiler::Scope scope(&profiler(),
+                        HostProfiler::Scope scope(&profiler(),
                                                   "model_fit");
                         pred = predictAllConfigs(kind, data);
                     }
                     if (n == 77 && obj == 0) {
                         overheadMs[kind] +=
-                            (profiler().seconds("model_fit") -
+                            (profiler().wallSeconds("model_fit") -
                              before) *
                             1000.0 /
                             static_cast<double>(apps.size());
@@ -224,19 +224,19 @@ main(int argc, char **argv)
             SystemParams sp;
             System sys(app, sp, staticBaselineConfig());
             sys.provenanceTrace().enable(1024);
+            sys.attachHostProfiler(&profiler());
             sys.run(standardEvalParams().warmupInsts);
             MctParams mp;
             mp.predictor = kind;
-            mp.profiler = &profiler();
             MctController ctl(sys, mp);
             {
-                WallProfiler::Scope scope(&profiler(), "mct_run");
+                HostProfiler::Scope scope(&profiler(), "mct_run");
                 ctl.runFor(4 * 1000 * 1000);
             }
             ctl.finalizeAudit();
             std::array<RunningStat, 3> err;
             for (const ProvenanceRecord &rec :
-                 sys.provenanceTrace().records()) {
+                 sys.provenanceTrace().items()) {
                 if (!rec.closed)
                     continue;
                 for (std::size_t o = 0; o < 3; ++o)

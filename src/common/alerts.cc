@@ -283,40 +283,13 @@ void
 AlertEngine::enable(std::vector<AlertRule> rules,
                     std::size_t logCapacity)
 {
-    if (logCapacity == 0)
-        mct_fatal("AlertEngine::enable requires a nonzero log "
-                  "capacity");
+    log_.enable(logCapacity);
     rules_ = std::move(rules);
     insts_.clear();
-    logRing_.assign(logCapacity, LogEntry{});
-    logCap_ = logCapacity;
-    logHead_ = 0;
-    logHeld_ = 0;
-    logTotal_ = 0;
     windowIdx_ = 0;
     nRaised_ = 0;
     nCleared_ = 0;
     raisedBySev_.fill(0);
-    armed_ = true;
-    bound_ = false;
-}
-
-void
-AlertEngine::disable()
-{
-    rules_.clear();
-    insts_.clear();
-    logRing_.clear();
-    logRing_.shrink_to_fit();
-    logCap_ = 0;
-    logHead_ = 0;
-    logHeld_ = 0;
-    logTotal_ = 0;
-    windowIdx_ = 0;
-    nRaised_ = 0;
-    nCleared_ = 0;
-    raisedBySev_.fill(0);
-    armed_ = false;
     bound_ = false;
 }
 
@@ -396,18 +369,9 @@ AlertEngine::bind(const StatSnapshot &delta)
 }
 
 void
-AlertEngine::pushLog(const LogEntry &e)
-{
-    logRing_[logHead_] = e;
-    logHead_ = logHead_ + 1 == logCap_ ? 0 : logHead_ + 1;
-    logHeld_ = std::min(logHeld_ + 1, logCap_);
-    ++logTotal_;
-}
-
-void
 AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
 {
-    if (!armed_)
+    if (!enabled())
         return;
     if (!bound_)
         bind(delta);
@@ -426,14 +390,8 @@ AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
                 ++*cellRaised_;
             if (cellBySev_[static_cast<std::size_t>(r.severity)])
                 ++*cellBySev_[static_cast<std::size_t>(r.severity)];
-            LogEntry e;
-            e.raisedEv = true;
-            e.rule = in.rule;
-            e.window = windowIdx_;
-            e.inst = inst;
-            e.value = v;
-            e.metric = in.metric;
-            pushLog(e);
+            log_.push() = {true, in.rule, windowIdx_, inst, v, 0,
+                           in.metric};
             if (trace_)
                 trace_->record(
                     TraceEventType::AlertRaised,
@@ -446,15 +404,8 @@ AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
                 ++nCleared_;
                 if (cellCleared_)
                     ++*cellCleared_;
-                LogEntry e;
-                e.raisedEv = false;
-                e.rule = in.rule;
-                e.window = windowIdx_;
-                e.inst = inst;
-                e.value = v;
-                e.windowsActive = in.activeFor;
-                e.metric = in.metric;
-                pushLog(e);
+                log_.push() = {false, in.rule, windowIdx_, inst, v,
+                               in.activeFor, in.metric};
                 if (trace_)
                     trace_->record(
                         TraceEventType::AlertCleared,
@@ -493,17 +444,6 @@ AlertEngine::raisedBySeverity(AlertSeverity sev) const
     return raisedBySev_[static_cast<std::size_t>(sev)];
 }
 
-std::vector<AlertEngine::LogEntry>
-AlertEngine::log() const
-{
-    std::vector<LogEntry> out;
-    out.reserve(logHeld_);
-    const std::size_t start = logHeld_ == logCap_ ? logHead_ : 0;
-    for (std::size_t i = 0; i < logHeld_; ++i)
-        out.push_back(logRing_[(start + i) % (logCap_ ? logCap_ : 1)]);
-    return out;
-}
-
 void
 AlertEngine::appendFinal(std::map<std::string, double> &fin) const
 {
@@ -517,14 +457,14 @@ AlertEngine::appendFinal(std::map<std::string, double> &fin) const
     fin["alert.count.warn"] = static_cast<double>(raisedBySev_[1]);
     fin["alert.count.critical"] =
         static_cast<double>(raisedBySev_[2]);
-    fin["alert.log_dropped"] = static_cast<double>(logDropped());
+    fin["alert.log_dropped"] = static_cast<double>(log_.dropped());
 }
 
 void
 AlertEngine::writeJsonl(std::ostream &os) const
 {
     JsonWriter w(os);
-    for (const LogEntry &e : log()) {
+    log_.forEach([this, &w, &os](const LogEntry &e) {
         const AlertRule &r = rules_[e.rule];
         w.beginObject();
         w.kv("ev", e.raisedEv ? "alert_raised" : "alert_cleared");
@@ -540,7 +480,7 @@ AlertEngine::writeJsonl(std::ostream &os) const
                  static_cast<std::uint64_t>(e.windowsActive));
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 template <class Ar>
@@ -549,9 +489,11 @@ AlertEngine::io(Ar &ar)
 {
     // The event trace, escalation hook and registry cells are wiring,
     // re-attached by enable() and the harness after reconstruction.
-    ar.check(armed_, "checkpoint AlertEngine configuration mismatch");
+    ar.check(log_.enabled(),
+             "checkpoint AlertEngine configuration mismatch");
     ar.check(rules_.size(), "checkpoint AlertEngine configuration mismatch");
-    ar.check(logCap_, "checkpoint AlertEngine configuration mismatch");
+    ar.check(log_.capacity(),
+             "checkpoint AlertEngine configuration mismatch");
     ar.flag(bound_);
     ar.u64(windowIdx_, nRaised_, nCleared_);
     for (std::uint64_t &n : raisedBySev_)
@@ -564,31 +506,18 @@ AlertEngine::io(Ar &ar)
         ar.u32(in.streak, in.activeFor);
         ar.flag(in.isActive);
     });
-    ar.ring(logHead_, logHeld_, logCap_);
-    ar.u64(logTotal_);
-    for (LogEntry &e : logRing_) {
+    log_.ioCursor(ar);
+    log_.ioSlots([&ar](LogEntry &e) {
         ar.flag(e.raisedEv);
         ar.u32(e.rule);
         ar.u64(e.window, e.inst);
         ar.f64(e.value);
         ar.u32(e.windowsActive);
         ar.str(e.metric);
-    }
+    });
 }
 
 template void AlertEngine::io(Serializer &);
 template void AlertEngine::io(Deserializer &);
-
-void
-AlertEngine::serialize(Serializer &s) const
-{
-    const_cast<AlertEngine *>(this)->io(s);
-}
-
-void
-AlertEngine::deserialize(Deserializer &d)
-{
-    io(d);
-}
 
 } // namespace mct

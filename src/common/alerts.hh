@@ -39,9 +39,6 @@
 namespace mct
 {
 
-class Serializer;
-class Deserializer;
-
 /** When an alert rule's condition holds for a window. */
 enum class AlertCondition : std::uint8_t
 {
@@ -134,11 +131,8 @@ class AlertEngine
     void enable(std::vector<AlertRule> rules,
                 std::size_t logCapacity = 4096);
 
-    /** Disarm and release all state. */
-    void disable();
-
     /** True when armed. */
-    bool enabled() const { return armed_; }
+    bool enabled() const { return log_.enabled(); }
 
     /** The armed rule set. */
     const std::vector<AlertRule> &rules() const { return rules_; }
@@ -193,11 +187,8 @@ class AlertEngine
         std::string metric;
     };
 
-    /** Held log entries, oldest first. */
-    std::vector<LogEntry> log() const;
-
-    /** Log entries overwritten by ring wraparound. */
-    std::uint64_t logDropped() const { return logTotal_ - logHeld_; }
+    /** The raise/clear log (alerts.jsonl), oldest entry first. */
+    const RecordRing<LogEntry> &log() const { return log_; }
 
     /**
      * Append the alert.* final scalars (counts by severity, raise /
@@ -215,10 +206,6 @@ class AlertEngine
     template <class Ar>
     void io(Ar &ar);
 
-    /** io() for callers outside a template. */
-    void serialize(Serializer &s) const;
-    void deserialize(Deserializer &d);
-
   private:
     /** One bound (rule, metric) evaluation instance. */
     struct Inst
@@ -235,16 +222,11 @@ class AlertEngine
 
     std::vector<AlertRule> rules_;
     std::vector<Inst> insts_;
-    std::vector<LogEntry> logRing_;
-    std::size_t logCap_ = 0;
-    std::size_t logHead_ = 0;
-    std::size_t logHeld_ = 0;
-    std::uint64_t logTotal_ = 0;
+    RecordRing<LogEntry> log_;
     std::uint64_t windowIdx_ = 0;
     std::uint64_t nRaised_ = 0;
     std::uint64_t nCleared_ = 0;
     std::array<std::uint64_t, 3> raisedBySev_{};
-    bool armed_ = false;
     bool bound_ = false;
     EventTrace *trace_ = nullptr;
     EscalationFn escalate_;
@@ -254,7 +236,6 @@ class AlertEngine
 
     bool holds(const AlertRule &r, const Inst &in, double v) const;
     void bind(const StatSnapshot &delta);
-    void pushLog(const LogEntry &e);
 };
 
 } // namespace mct

@@ -1,6 +1,7 @@
 #include "common/instrument.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
@@ -279,6 +280,46 @@ writeSnapshot(JsonWriter &w, const StatSnapshot &snap)
     w.endObject();
 }
 
+namespace
+{
+
+/**
+ * Write one Chrome trace-event document: the {"displayTimeUnit":"ms",
+ * "traceEvents":[...]} frame around the events @p body writes.
+ */
+template <typename Body>
+void
+writeChromeDoc(std::ostream &os, Body &&body)
+{
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("displayTimeUnit", "ms");
+    w.key("traceEvents").beginArray();
+    body(w);
+    w.endArray();
+    w.endObject();
+    os << '\n';
+}
+
+/** A metadata event naming thread @p tid of process @p pid, or the
+ *  process itself when @p tid is 0. */
+void
+chromeName(JsonWriter &w, int pid, int tid, std::string_view name)
+{
+    w.beginObject();
+    w.kv("name", tid ? "thread_name" : "process_name");
+    w.kv("ph", "M");
+    w.kv("pid", pid);
+    if (tid)
+        w.kv("tid", tid);
+    w.key("args").beginObject();
+    w.kv("name", name);
+    w.endObject();
+    w.endObject();
+}
+
+} // namespace
+
 // --------------------------------------------------------------------
 // EventTrace
 // --------------------------------------------------------------------
@@ -360,77 +401,29 @@ traceArgNames(TraceEventType type)
 }
 
 void
-EventTrace::enable(std::size_t capacity)
+EventTrace::append(TraceEventType type, double a0, double a1, double a2)
 {
-    if (capacity == 0)
-        mct_fatal("EventTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, TraceEvent{});
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
-EventTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
-EventTrace::push(TraceEventType type, double a0, double a1, double a2)
-{
-    TraceEvent &e = ring[head];
+    TraceEvent &e = push();
     e.type = type;
     e.inst = clock ? *clock : 0;
     e.args = {a0, a1, a2};
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
-}
-
-std::vector<TraceEvent>
-EventTrace::events() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(held);
-    // Oldest event sits at head when the ring has wrapped.
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
 }
 
 std::array<std::uint64_t, numTraceEventTypes>
 EventTrace::countsByType() const
 {
     std::array<std::uint64_t, numTraceEventTypes> counts{};
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i) {
-        const TraceEvent &e = ring[(start + i) % (cap ? cap : 1)];
+    forEach([&counts](const TraceEvent &e) {
         ++counts[static_cast<std::size_t>(e.type)];
-    }
+    });
     return counts;
-}
-
-void
-EventTrace::clear()
-{
-    head = 0;
-    held = 0;
-    total = 0;
 }
 
 void
 EventTrace::writeJsonl(std::ostream &os) const
 {
     JsonWriter w(os);
-    for (const TraceEvent &e : events()) {
+    forEach([&w, &os](const TraceEvent &e) {
         const auto names = traceArgNames(e.type);
         w.beginObject();
         w.kv("ev", toString(e.type));
@@ -439,46 +432,41 @@ EventTrace::writeJsonl(std::ostream &os) const
             w.kv(names[a], e.args[a]);
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 void
 EventTrace::writeChromeTrace(std::ostream &os) const
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("displayTimeUnit", "ms");
-    w.key("traceEvents").beginArray();
-    for (const TraceEvent &e : events()) {
-        const auto names = traceArgNames(e.type);
-        w.beginObject();
-        const char *ph = "i";
-        const char *name = toString(e.type);
-        if (e.type == TraceEventType::SamplingRoundStart) {
-            ph = "B";
-            name = "sampling_round";
-        } else if (e.type == TraceEventType::SamplingRoundEnd) {
-            ph = "E";
-            name = "sampling_round";
-        }
-        w.kv("name", name);
-        w.kv("ph", ph);
-        // ts nominally holds microseconds; we put the instruction
-        // count there so the viewer's time axis reads instructions.
-        w.kv("ts", static_cast<std::uint64_t>(e.inst));
-        w.kv("pid", 0);
-        w.kv("tid", 0);
-        if (ph[0] == 'i')
-            w.kv("s", "g"); // global-scope instant marker
-        w.key("args").beginObject();
-        for (std::size_t a = 0; a < names.size(); ++a)
-            w.kv(names[a], e.args[a]);
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
+    writeChromeDoc(os, [this](JsonWriter &w) {
+        forEach([&w](const TraceEvent &e) {
+            const auto names = traceArgNames(e.type);
+            w.beginObject();
+            const char *ph = "i";
+            const char *name = toString(e.type);
+            if (e.type == TraceEventType::SamplingRoundStart) {
+                ph = "B";
+                name = "sampling_round";
+            } else if (e.type == TraceEventType::SamplingRoundEnd) {
+                ph = "E";
+                name = "sampling_round";
+            }
+            w.kv("name", name);
+            w.kv("ph", ph);
+            // ts nominally holds microseconds; we put the instruction
+            // count there so the viewer's time axis reads instructions.
+            w.kv("ts", static_cast<std::uint64_t>(e.inst));
+            w.kv("pid", 0);
+            w.kv("tid", 0);
+            if (ph[0] == 'i')
+                w.kv("s", "g"); // global-scope instant marker
+            w.key("args").beginObject();
+            for (std::size_t a = 0; a < names.size(); ++a)
+                w.kv(names[a], e.args[a]);
+            w.endObject();
+            w.endObject();
+        });
+    });
 }
 
 // --------------------------------------------------------------------
@@ -534,29 +522,9 @@ SpanTrace::enable(std::uint64_t sampleEvery, std::size_t capacity)
 {
     if (sampleEvery == 0)
         mct_fatal("SpanTrace::enable requires a nonzero sample period");
-    if (capacity == 0)
-        mct_fatal("SpanTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, SpanRecord{});
+    RecordRing::enable(capacity);
     open.clear();
     every = sampleEvery;
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-    curValid = false;
-}
-
-void
-SpanTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    open.clear();
-    every = 0;
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
     curValid = false;
 }
 
@@ -667,7 +635,7 @@ SpanTrace::end(std::uint64_t id, Tick now, int hitLevel)
             TraceEventType::SpanComplete,
             static_cast<double>(o.rec.end - o.rec.begin) * nsPerTick,
             static_cast<double>(hitLevel), static_cast<double>(stages));
-    push(o.rec);
+    push() = o.rec;
     open.erase(it);
     if (curValid && curId == id)
         curValid = false;
@@ -694,40 +662,10 @@ SpanTrace::findOpen(std::uint64_t id)
 }
 
 void
-SpanTrace::push(const SpanRecord &rec)
-{
-    ring[head] = rec;
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
-}
-
-std::vector<SpanRecord>
-SpanTrace::spans() const
-{
-    std::vector<SpanRecord> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
-}
-
-void
-SpanTrace::clear()
-{
-    open.clear();
-    head = 0;
-    held = 0;
-    total = 0;
-    curValid = false;
-}
-
-void
 SpanTrace::writeJsonl(std::ostream &os) const
 {
     JsonWriter w(os);
-    for (const SpanRecord &r : spans()) {
+    forEach([&w, &os](const SpanRecord &r) {
         w.beginObject();
         w.kv("id", r.id);
         w.kv("addr", static_cast<std::uint64_t>(r.addr));
@@ -749,53 +687,41 @@ SpanTrace::writeJsonl(std::ostream &os) const
         w.endObject();
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 void
 SpanTrace::writeChromeTrace(std::ostream &os) const
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("displayTimeUnit", "ms");
-    w.key("traceEvents").beginArray();
-    // Name one track per component so stages nest visually.
-    for (std::size_t s = 0; s < numSpanStages; ++s) {
-        w.beginObject();
-        w.kv("name", "thread_name");
-        w.kv("ph", "M");
-        w.kv("pid", 1);
-        w.kv("tid", static_cast<std::uint64_t>(s + 1));
-        w.key("args").beginObject();
-        w.kv("name", spanStageTrack(static_cast<SpanStage>(s)));
-        w.endObject();
-        w.endObject();
-    }
-    for (const SpanRecord &r : spans()) {
-        for (std::size_t s = 0; s < numSpanStages; ++s) {
-            if (!((r.present >> s) & 1u))
-                continue;
-            w.beginObject();
-            w.kv("name", toString(static_cast<SpanStage>(s)));
-            w.kv("ph", "X");
-            // ts nominally holds microseconds; we put Ticks
-            // (picoseconds) there, as EventTrace does instructions.
-            w.kv("ts", static_cast<std::uint64_t>(r.enter[s]));
-            w.kv("dur",
-                 static_cast<std::uint64_t>(r.exit[s] - r.enter[s]));
-            w.kv("pid", 1);
-            w.kv("tid", static_cast<std::uint64_t>(s + 1));
-            w.key("args").beginObject();
-            w.kv("id", r.id);
-            w.kv("addr", static_cast<std::uint64_t>(r.addr));
-            w.kv("hit_level", static_cast<std::uint64_t>(r.hitLevel));
-            w.endObject();
-            w.endObject();
-        }
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
+    writeChromeDoc(os, [this](JsonWriter &w) {
+        // Name one track per component so stages nest visually.
+        for (std::size_t s = 0; s < numSpanStages; ++s)
+            chromeName(w, 1, static_cast<int>(s + 1),
+                       spanStageTrack(static_cast<SpanStage>(s)));
+        forEach([&w](const SpanRecord &r) {
+            for (std::size_t s = 0; s < numSpanStages; ++s) {
+                if (!((r.present >> s) & 1u))
+                    continue;
+                w.beginObject();
+                w.kv("name", toString(static_cast<SpanStage>(s)));
+                w.kv("ph", "X");
+                // ts nominally holds microseconds; we put Ticks
+                // (picoseconds) there, as EventTrace does instructions.
+                w.kv("ts", static_cast<std::uint64_t>(r.enter[s]));
+                w.kv("dur",
+                     static_cast<std::uint64_t>(r.exit[s] - r.enter[s]));
+                w.kv("pid", 1);
+                w.kv("tid", static_cast<std::uint64_t>(s + 1));
+                w.key("args").beginObject();
+                w.kv("id", r.id);
+                w.kv("addr", static_cast<std::uint64_t>(r.addr));
+                w.kv("hit_level",
+                     static_cast<std::uint64_t>(r.hitLevel));
+                w.endObject();
+                w.endObject();
+            }
+        });
+    });
 }
 
 // --------------------------------------------------------------------
@@ -849,60 +775,15 @@ closeProvenanceRecord(ProvenanceRecord &rec, double realizedIpc,
 }
 
 void
-ProvenanceTrace::enable(std::size_t capacity)
-{
-    if (capacity == 0)
-        mct_fatal("ProvenanceTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, ProvenanceRecord{});
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
-ProvenanceTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
 ProvenanceTrace::record(const ProvenanceRecord &rec)
 {
-    if (cap == 0)
+    if (!enabled())
         return;
-    ring[head] = rec;
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
+    push() = rec;
     if (events_)
         events_->record(TraceEventType::DecisionProvenance,
                         static_cast<double>(rec.seq),
                         rec.objectives[0].relError, rec.regret);
-}
-
-std::vector<ProvenanceRecord>
-ProvenanceTrace::records() const
-{
-    std::vector<ProvenanceRecord> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
-}
-
-void
-ProvenanceTrace::clear()
-{
-    head = 0;
-    held = 0;
-    total = 0;
 }
 
 namespace
@@ -977,52 +858,39 @@ void
 ProvenanceTrace::writeJsonl(std::ostream &os) const
 {
     JsonWriter w(os);
-    for (const ProvenanceRecord &r : records()) {
+    forEach([&w, &os](const ProvenanceRecord &r) {
         writeProvenanceRecord(w, r);
         os << '\n';
-    }
+    });
 }
 
 void
 ProvenanceTrace::writeChromeTrace(std::ostream &os) const
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("displayTimeUnit", "ms");
-    w.key("traceEvents").beginArray();
-    w.beginObject();
-    w.kv("name", "thread_name");
-    w.kv("ph", "M");
-    w.kv("pid", 2);
-    w.kv("tid", 1);
-    w.key("args").beginObject();
-    w.kv("name", "provenance");
-    w.endObject();
-    w.endObject();
-    for (const ProvenanceRecord &r : records()) {
-        w.beginObject();
-        w.kv("name", r.configKey);
-        w.kv("ph", "X");
-        // ts nominally holds microseconds; we put the instruction
-        // count there, as EventTrace does.
-        w.kv("ts", static_cast<std::uint64_t>(r.inst));
-        w.kv("dur", static_cast<std::uint64_t>(
-                        r.closeInst > r.inst ? r.closeInst - r.inst
-                                             : 0));
-        w.kv("pid", 2);
-        w.kv("tid", 1);
-        w.key("args").beginObject();
-        w.kv("seq", r.seq);
-        w.kv("model", r.model);
-        w.kv("pred_ipc", r.objectives[0].predicted);
-        w.kv("real_ipc", r.objectives[0].realized);
-        w.kv("regret", r.regret);
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
+    writeChromeDoc(os, [this](JsonWriter &w) {
+        chromeName(w, 2, 1, "provenance");
+        forEach([&w](const ProvenanceRecord &r) {
+            w.beginObject();
+            w.kv("name", r.configKey);
+            w.kv("ph", "X");
+            // ts nominally holds microseconds; we put the instruction
+            // count there, as EventTrace does.
+            w.kv("ts", static_cast<std::uint64_t>(r.inst));
+            w.kv("dur", static_cast<std::uint64_t>(
+                            r.closeInst > r.inst ? r.closeInst - r.inst
+                                                 : 0));
+            w.kv("pid", 2);
+            w.kv("tid", 1);
+            w.key("args").beginObject();
+            w.kv("seq", r.seq);
+            w.kv("model", r.model);
+            w.kv("pred_ipc", r.objectives[0].predicted);
+            w.kv("real_ipc", r.objectives[0].realized);
+            w.kv("regret", r.regret);
+            w.endObject();
+            w.endObject();
+        });
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1060,31 +928,10 @@ void
 MetricTimeline::enable(std::vector<std::string> globs,
                        std::size_t capacity)
 {
-    if (capacity == 0)
-        mct_fatal("MetricTimeline::enable requires a nonzero capacity");
+    RecordRing::enable(capacity);
     globs_ = std::move(globs);
-    ring.assign(capacity, Window{});
     names.clear();
     rollups.clear();
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-    bound_ = false;
-}
-
-void
-MetricTimeline::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    globs_.clear();
-    names.clear();
-    rollups.clear();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
     bound_ = false;
 }
 
@@ -1102,7 +949,7 @@ MetricTimeline::selected(const std::string &path) const
 void
 MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
 {
-    if (cap == 0)
+    if (!enabled())
         return;
     if (!bound_) {
         // Bind the tracked-metric list from the first window's keys:
@@ -1115,7 +962,7 @@ MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
         rollups.assign(names.size(), Rollup{});
         bound_ = true;
     }
-    Window &w = ring[head];
+    TimelineWindow &w = push();
     w.inst = inst;
     w.vals.assign(names.size(), 0.0);
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -1123,13 +970,10 @@ MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
         if (it != delta.end())
             w.vals[i] = it->second.num;
     }
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
     for (std::size_t i = 0; i < names.size(); ++i) {
         Rollup &r = rollups[i];
         const double v = w.vals[i];
-        if (total == 1) {
+        if (recorded() == 1) {
             r.ewma = v;
             r.min = v;
             r.max = v;
@@ -1139,44 +983,6 @@ MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
             r.max = std::max(r.max, v);
         }
     }
-}
-
-std::vector<InstCount>
-MetricTimeline::insts() const
-{
-    std::vector<InstCount> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)].inst);
-    return out;
-}
-
-std::vector<double>
-MetricTimeline::series(std::size_t metricIdx) const
-{
-    std::vector<double> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i) {
-        const Window &w = ring[(start + i) % (cap ? cap : 1)];
-        out.push_back(metricIdx < w.vals.size() ? w.vals[metricIdx]
-                                                : 0.0);
-    }
-    return out;
-}
-
-void
-MetricTimeline::clear()
-{
-    for (Window &w : ring)
-        w = Window{};
-    names.clear();
-    rollups.clear();
-    head = 0;
-    held = 0;
-    total = 0;
-    bound_ = false;
 }
 
 void
@@ -1192,20 +998,22 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     w.kv("mode", mode);
     w.kv("app", app);
     w.kv("config", config);
-    w.kv("capacity", static_cast<std::uint64_t>(cap));
+    w.kv("capacity", static_cast<std::uint64_t>(capacity()));
     w.key("metrics").beginArray();
     for (const std::string &n : names)
         w.value(n);
     w.endArray();
     w.key("inst").beginArray();
-    for (const InstCount i : insts())
-        w.value(static_cast<std::uint64_t>(i));
+    forEach([&w](const TimelineWindow &win) {
+        w.value(static_cast<std::uint64_t>(win.inst));
+    });
     w.endArray();
     w.key("series").beginObject();
     for (std::size_t m = 0; m < names.size(); ++m) {
         w.key(names[m]).beginArray();
-        for (const double v : series(m))
-            w.value(v);
+        forEach([&w, m](const TimelineWindow &win) {
+            w.value(m < win.vals.size() ? win.vals[m] : 0.0);
+        });
         w.endArray();
     }
     w.endObject();
@@ -1213,8 +1021,8 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     // mct_report's loadSnapshots / diff gate it like any other run
     // document. The std::map keeps key order deterministic.
     std::map<std::string, double> fin = extraFinal;
-    fin["sim.timeline.windows"] = static_cast<double>(held);
-    fin["sim.timeline.recorded"] = static_cast<double>(total);
+    fin["sim.timeline.windows"] = static_cast<double>(size());
+    fin["sim.timeline.recorded"] = static_cast<double>(recorded());
     fin["sim.timeline.dropped"] = static_cast<double>(dropped());
     fin["sim.timeline.metrics"] = static_cast<double>(names.size());
     for (std::size_t m = 0; m < names.size(); ++m) {
@@ -1226,74 +1034,6 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     for (const auto &[k, v] : fin)
         w.kv(k, v);
     w.endObject();
-    w.endObject();
-    os << '\n';
-}
-
-// --------------------------------------------------------------------
-// WallProfiler
-// --------------------------------------------------------------------
-
-void
-WallProfiler::begin(const std::string &stage)
-{
-    auto [it, isNew] = cells.try_emplace(stage);
-    if (isNew)
-        order.push_back(stage);
-    Cell &c = it->second;
-    if (c.open)
-        mct_panic("WallProfiler stage '", stage, "' begun twice");
-    c.open = true;
-    c.start = std::chrono::steady_clock::now();
-}
-
-void
-WallProfiler::end(const std::string &stage)
-{
-    const auto it = cells.find(stage);
-    if (it == cells.end() || !it->second.open)
-        mct_panic("WallProfiler stage '", stage, "' ended but not begun");
-    Cell &c = it->second;
-    c.open = false;
-    ++c.calls;
-    c.seconds += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - c.start)
-                     .count();
-}
-
-std::vector<WallProfiler::Stage>
-WallProfiler::stages() const
-{
-    std::vector<Stage> out;
-    out.reserve(order.size());
-    for (const std::string &name : order) {
-        const Cell &c = cells.at(name);
-        out.push_back({name, c.seconds, c.calls});
-    }
-    return out;
-}
-
-double
-WallProfiler::seconds(const std::string &stage) const
-{
-    const auto it = cells.find(stage);
-    return it == cells.end() ? 0.0 : it->second.seconds;
-}
-
-void
-WallProfiler::writeJson(std::ostream &os) const
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("stages").beginArray();
-    for (const Stage &s : stages()) {
-        w.beginObject();
-        w.kv("name", s.name);
-        w.kv("seconds", s.seconds);
-        w.kv("calls", s.calls);
-        w.endObject();
-    }
-    w.endArray();
     w.endObject();
     os << '\n';
 }
@@ -1604,46 +1344,27 @@ HostProfiler::writeJson(std::ostream &os, const std::string &mode,
 void
 HostProfiler::writeChromeTrace(std::ostream &os) const
 {
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("displayTimeUnit", "ms");
-    w.key("traceEvents").beginArray();
-    w.beginObject();
-    w.kv("name", "process_name");
-    w.kv("ph", "M");
-    w.kv("pid", 3);
-    w.key("args").beginObject();
-    w.kv("name", "mct_sim host");
-    w.endObject();
-    w.endObject();
-    w.beginObject();
-    w.kv("name", "thread_name");
-    w.kv("ph", "M");
-    w.kv("pid", 3);
-    w.kv("tid", 1);
-    w.key("args").beginObject();
-    w.kv("name", "host");
-    w.endObject();
-    w.endObject();
-    for (const TimelineSlice &s : timeline_) {
-        w.beginObject();
-        w.kv("name", order_[s.stage]);
-        w.kv("ph", "X");
-        // ts/dur are real microseconds since enable(); the simulated
-        // tracks put the instruction/tick clock there instead, so
-        // this file stands alone rather than merging with them.
-        w.kv("ts", static_cast<double>(s.startNs) / 1000.0);
-        w.kv("dur", static_cast<double>(s.durNs) / 1000.0);
-        w.kv("pid", 3);
-        w.kv("tid", 1);
-        w.key("args").beginObject();
-        w.kv("cpu_us", static_cast<double>(s.cpuNs) / 1000.0);
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
+    writeChromeDoc(os, [this](JsonWriter &w) {
+        chromeName(w, 3, 0, "mct_sim host");
+        chromeName(w, 3, 1, "host");
+        for (const TimelineSlice &s : timeline_) {
+            w.beginObject();
+            w.kv("name", order_[s.stage]);
+            w.kv("ph", "X");
+            // ts/dur are real microseconds since enable(); the
+            // simulated tracks put the instruction/tick clock there
+            // instead, so this file stands alone rather than merging
+            // with them.
+            w.kv("ts", static_cast<double>(s.startNs) / 1000.0);
+            w.kv("dur", static_cast<double>(s.durNs) / 1000.0);
+            w.kv("pid", 3);
+            w.kv("tid", 1);
+            w.key("args").beginObject();
+            w.kv("cpu_us", static_cast<double>(s.cpuNs) / 1000.0);
+            w.endObject();
+            w.endObject();
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1712,15 +1433,14 @@ template <class Ar>
 void
 EventTrace::io(Ar &ar)
 {
-    ar.check(cap, "checkpoint EventTrace capacity mismatch");
-    ar.ring(head, held, cap);
-    ar.u64(total);
-    for (TraceEvent &e : ring) {
+    ar.check(capacity(), "checkpoint EventTrace capacity mismatch");
+    ioCursor(ar);
+    ioSlots([&ar](TraceEvent &e) {
         ar.u8(e.type);
         ar.u64(e.inst);
         for (double &a : e.args)
             ar.f64(a);
-    }
+    });
 }
 
 template void EventTrace::io(Serializer &);
@@ -1751,12 +1471,11 @@ void
 SpanTrace::io(Ar &ar)
 {
     ar.check(every, "checkpoint SpanTrace configuration mismatch");
-    ar.check(cap, "checkpoint SpanTrace configuration mismatch");
-    ar.ring(head, held, cap);
-    ar.u64(total, curId);
+    ar.check(capacity(), "checkpoint SpanTrace configuration mismatch");
+    ioCursor(ar);
+    ar.u64(curId);
     ar.flag(curValid);
-    for (SpanRecord &r : ring)
-        ioSpan(ar, r);
+    ioSlots([&ar](SpanRecord &r) { ioSpan(ar, r); });
     ar.seq(open, [&ar](OpenSpan &o) {
         ar.u64(o.id);
         ioSpan(ar, o.rec);
@@ -1812,11 +1531,9 @@ template <class Ar>
 void
 ProvenanceTrace::io(Ar &ar)
 {
-    ar.check(cap, "checkpoint ProvenanceTrace capacity mismatch");
-    ar.ring(head, held, cap);
-    ar.u64(total);
-    for (ProvenanceRecord &r : ring)
-        r.io(ar);
+    ar.check(capacity(), "checkpoint ProvenanceTrace capacity mismatch");
+    ioCursor(ar);
+    ioSlots([&ar](ProvenanceRecord &r) { r.io(ar); });
 }
 
 template void ProvenanceTrace::io(Serializer &);
@@ -1828,34 +1545,21 @@ MetricTimeline::io(Ar &ar)
 {
     // globs_ is enable()-time configuration pinned by the run
     // fingerprint; the capacity check below cross-checks the rest.
-    ar.check(cap, "checkpoint MetricTimeline capacity mismatch");
-    ar.ring(head, held, cap);
-    ar.u64(total);
+    ar.check(capacity(), "checkpoint MetricTimeline capacity mismatch");
+    ioCursor(ar);
     ar.flag(bound_);
     ar.seq(names, [&ar](std::string &n) { ar.str(n); });
     // One rollup per bound name; the names' count covers both.
     rollups.resize(names.size());
     for (Rollup &r : rollups)
         ar.f64(r.ewma, r.min, r.max);
-    for (Window &w : ring) {
+    ioSlots([&ar](TimelineWindow &w) {
         ar.u64(w.inst);
         ar.seq(w.vals, [&ar](double &v) { ar.f64(v); });
-    }
+    });
 }
 
 template void MetricTimeline::io(Serializer &);
 template void MetricTimeline::io(Deserializer &);
-
-void
-MetricTimeline::serialize(Serializer &s) const
-{
-    const_cast<MetricTimeline *>(this)->io(s);
-}
-
-void
-MetricTimeline::deserialize(Deserializer &d)
-{
-    io(d);
-}
 
 } // namespace mct

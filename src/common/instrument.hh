@@ -1,7 +1,8 @@
 /**
  * @file
  * Unified instrumentation layer: the stat registry, the structured
- * event trace, and the wall-clock stage profiler.
+ * event, span and provenance traces, the metric timeline, and the
+ * host profiler.
  *
  * Every simulated component (core, caches, memory controller, NVM
  * device, MCT runtime) registers its counters under a dotted path in
@@ -26,16 +27,22 @@
  * histograms and JSONL / Chrome trace output. Disabled, every hook is
  * a single branch.
  *
- * WallProfiler is the only knowingly non-deterministic piece: it
- * accumulates real elapsed time per named stage for the bench
- * harnesses' self-profiling, and is never fed into simulated state.
+ * Every capped record store here (event, span and provenance traces,
+ * the timeline's windows, the alert log) is one RecordRing: one push,
+ * one oldest-first walk the writers read in place, and one pair of
+ * checkpoint halves.
+ *
+ * HostProfiler is the only knowingly non-deterministic piece: it
+ * accumulates real wall and CPU time per named stage for mct_sim's
+ * host telemetry and the bench harnesses' self-profiling, and is never
+ * fed into simulated state.
  */
 
 #ifndef MCT_COMMON_INSTRUMENT_HH
 #define MCT_COMMON_INSTRUMENT_HH
 
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -44,13 +51,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace mct
 {
-
-class Serializer;
-class Deserializer;
 
 /** What a registered statistic measures. */
 enum class StatKind
@@ -278,6 +283,107 @@ void writeSnapshotJson(std::ostream &os, const StatSnapshot &snap);
  *  snapshots inside a larger document). */
 void writeSnapshot(JsonWriter &w, const StatSnapshot &snap);
 
+/**
+ * Fixed-capacity ring of records with dropped-record accounting: the
+ * one ring behind the event, span and provenance traces, the metric
+ * timeline's windows and the alert log. Disabled (capacity 0) until
+ * enable() preallocates every slot; once the ring is full, each push
+ * overwrites the oldest record.
+ */
+template <typename T>
+class RecordRing
+{
+  public:
+    /** Allocate @p capacity slots and forget every record. */
+    void
+    enable(std::size_t capacity)
+    {
+        if (capacity == 0)
+            mct_fatal("a record ring needs a nonzero capacity");
+        slots.assign(capacity, T{});
+        cap = capacity;
+        head = 0;
+        held = 0;
+        total = 0;
+    }
+
+    /** True once enable() has allocated the slots. */
+    bool enabled() const { return cap != 0; }
+
+    /** Records currently held (<= capacity). */
+    std::size_t size() const { return held; }
+
+    /** Slot count (0 when disabled). */
+    std::size_t capacity() const { return cap; }
+
+    /** Records ever pushed. */
+    std::uint64_t recorded() const { return total; }
+
+    /** Records overwritten by ring wraparound. */
+    std::uint64_t dropped() const { return total - held; }
+
+    /** The slot the next record goes in, for the caller to fill
+     *  (enabled rings only). */
+    T &
+    push()
+    {
+        T &slot = slots[head];
+        head = head + 1 == cap ? 0 : head + 1;
+        held = std::min(held + 1, cap);
+        ++total;
+        return slot;
+    }
+
+    /** Visit the held records in place, oldest first. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        // The oldest record sits at head once the ring has wrapped.
+        std::size_t at = held == cap ? head : 0;
+        for (std::size_t i = 0; i < held; ++i) {
+            fn(slots[at]);
+            at = at + 1 == cap ? 0 : at + 1;
+        }
+    }
+
+    /** A copy of the held records, oldest first. */
+    std::vector<T>
+    items() const
+    {
+        std::vector<T> out;
+        out.reserve(held);
+        forEach([&out](const T &r) { out.push_back(r); });
+        return out;
+    }
+
+    /** Checkpoint half one: the cursors, then the record total. */
+    template <class Ar>
+    void
+    ioCursor(Ar &ar)
+    {
+        ar.ring(head, held, cap);
+        ar.u64(total);
+    }
+
+    /** Checkpoint half two: every slot through @p each, in storage
+     *  order. */
+    template <typename Fn>
+    void
+    ioSlots(Fn &&each)
+    {
+        for (T &r : slots)
+            each(r);
+    }
+
+  private:
+    std::vector<T> slots;
+    std::size_t cap = 0;
+    std::size_t head = 0; ///< next slot to write
+    std::size_t held = 0;
+    std::uint64_t total = 0;
+};
+
 /** Typed events recorded by the runtime layers. */
 enum class TraceEventType : std::uint8_t
 {
@@ -324,19 +430,13 @@ struct TraceEvent
  * until enable() preallocates storage; record() on a disabled trace
  * is a single predictable branch.
  */
-class EventTrace
+class EventTrace : private RecordRing<TraceEvent>
 {
   public:
-    EventTrace() = default;
-
-    /** Allocate @p capacity slots and start recording. */
-    void enable(std::size_t capacity);
-
-    /** Stop recording and release storage. */
-    void disable();
-
-    /** True when recording. */
-    bool enabled() const { return cap != 0; }
+    /** The ring's accessors; items() holds the events oldest first. */
+    using RecordRing::enable, RecordRing::enabled, RecordRing::size,
+        RecordRing::capacity, RecordRing::recorded, RecordRing::dropped,
+        RecordRing::items;
 
     /**
      * Point the instruction clock at a live counter (the core's
@@ -350,31 +450,21 @@ class EventTrace
     record(TraceEventType type, double a0 = 0.0, double a1 = 0.0,
            double a2 = 0.0)
     {
-        if (cap == 0)
+        if (!enabled())
             return;
-        push(type, a0, a1, a2);
+        append(type, a0, a1, a2);
     }
-
-    /** Events currently held (<= capacity). */
-    std::size_t size() const { return held; }
-
-    /** Events ever recorded. */
-    std::uint64_t recorded() const { return total; }
-
-    /** Events overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
-
-    /** Buffer capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
-
-    /** Held events, oldest first. */
-    std::vector<TraceEvent> events() const;
 
     /** Count of held events per type. */
     std::array<std::uint64_t, numTraceEventTypes> countsByType() const;
 
     /** Forget held events (capacity and clock are kept). */
-    void clear();
+    void
+    clear()
+    {
+        if (enabled())
+            enable(capacity());
+    }
 
     /** One JSON object per line: {"ev","inst",<named args>}. */
     void writeJsonl(std::ostream &os) const;
@@ -394,14 +484,9 @@ class EventTrace
     void io(Ar &ar);
 
   private:
-    std::vector<TraceEvent> ring;
-    std::size_t cap = 0;
-    std::size_t head = 0; ///< next slot to write
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     const InstCount *clock = nullptr;
 
-    void push(TraceEventType type, double a0, double a1, double a2);
+    void append(TraceEventType type, double a0, double a1, double a2);
 };
 
 /**
@@ -463,22 +548,16 @@ struct SpanRecord
  * optional per-stage latency histograms. Disabled (the default) every
  * hook is a single predictable branch and no memory is touched.
  */
-class SpanTrace
+class SpanTrace : private RecordRing<SpanRecord>
 {
   public:
-    SpanTrace() = default;
-
     /** Sample every @p sampleEvery-th request; ring of @p capacity. */
     void enable(std::uint64_t sampleEvery, std::size_t capacity);
 
-    /** Stop sampling and release storage. */
-    void disable();
-
-    /** True when sampling. */
-    bool enabled() const { return every != 0; }
-
-    /** Sampling period (0 when disabled). */
-    std::uint64_t sampleEvery() const { return every; }
+    /** The ring's accessors; items() holds the completed spans oldest
+     *  first. */
+    using RecordRing::enabled, RecordRing::size, RecordRing::capacity,
+        RecordRing::recorded, RecordRing::dropped, RecordRing::items;
 
     /** Point the instruction clock at a live counter (see EventTrace). */
     void setClock(const InstCount *instClock) { clock = instClock; }
@@ -521,24 +600,6 @@ class SpanTrace
     /** Close the span: open stages end at @p now; record + emit. */
     void end(std::uint64_t id, Tick now, int hitLevel);
 
-    /** Completed spans currently held (<= capacity). */
-    std::size_t size() const { return held; }
-
-    /** Spans ever completed. */
-    std::uint64_t recorded() const { return total; }
-
-    /** Completed spans overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
-
-    /** Ring capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
-
-    /** Held spans, oldest first. */
-    std::vector<SpanRecord> spans() const;
-
-    /** Forget held spans (capacity, clock and sinks are kept). */
-    void clear();
-
     /** One JSON object per line, integer fields only (see docs). */
     void writeJsonl(std::ostream &os) const;
 
@@ -566,23 +627,16 @@ class SpanTrace
         std::uint8_t openBits = 0; ///< stages begun but not yet closed
     };
 
-    std::vector<SpanRecord> ring;
     /** In-flight spans by ascending id: ids rise per core and at most
      *  MSHRs + 1 are open at once, so a sorted vector beats a map. */
     std::vector<OpenSpan> open;
     std::uint64_t every = 0;
-    std::size_t cap = 0;
-    std::size_t head = 0;
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     std::uint64_t curId = 0; ///< span the latest begin() opened
     bool curValid = false;
     std::array<LogHistogram *, numSpanStages> stageHist{};
     LogHistogram *totalHist = nullptr;
     EventTrace *events_ = nullptr;
     const InstCount *clock = nullptr;
-
-    void push(const SpanRecord &rec);
 
     /** The first open span whose id is not below @p id. */
     std::vector<OpenSpan>::iterator lowerBound(std::uint64_t id);
@@ -698,43 +752,19 @@ std::size_t closeProvenanceRecord(ProvenanceRecord &rec,
  * to the Chrome trace-event format, where each decision becomes a
  * complete event spanning decision to close on a "provenance" track.
  */
-class ProvenanceTrace
+class ProvenanceTrace : private RecordRing<ProvenanceRecord>
 {
   public:
-    ProvenanceTrace() = default;
-
-    /** Allocate a ring of @p capacity records and start recording. */
-    void enable(std::size_t capacity);
-
-    /** Stop recording and release storage. */
-    void disable();
-
-    /** True when recording. */
-    bool enabled() const { return cap != 0; }
+    /** The ring's accessors; items() holds the records oldest first. */
+    using RecordRing::enable, RecordRing::enabled, RecordRing::size,
+        RecordRing::capacity, RecordRing::recorded, RecordRing::dropped,
+        RecordRing::items;
 
     /** Emit a DecisionProvenance event into @p t per closed record. */
     void attachTrace(EventTrace *t) { events_ = t; }
 
     /** Append a closed record (no-op when disabled). */
     void record(const ProvenanceRecord &rec);
-
-    /** Records currently held (<= capacity). */
-    std::size_t size() const { return held; }
-
-    /** Records ever recorded. */
-    std::uint64_t recorded() const { return total; }
-
-    /** Records overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
-
-    /** Ring capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
-
-    /** Held records, oldest first. */
-    std::vector<ProvenanceRecord> records() const;
-
-    /** Forget held records (capacity and sinks are kept). */
-    void clear();
 
     /** One JSON object per line (see docs/observability.md). */
     void writeJsonl(std::ostream &os) const;
@@ -752,11 +782,6 @@ class ProvenanceTrace
     void io(Ar &ar);
 
   private:
-    std::vector<ProvenanceRecord> ring;
-    std::size_t cap = 0;
-    std::size_t head = 0;
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     EventTrace *events_ = nullptr;
 };
 
@@ -768,6 +793,14 @@ class ProvenanceTrace
  * tool agree on what a pattern selects.
  */
 bool statGlobMatch(const std::string &pattern, const std::string &path);
+
+/** One MetricTimeline window: its instruction mark and one value per
+ *  bound metric. */
+struct TimelineWindow
+{
+    InstCount inst = 0;
+    std::vector<double> vals;
+};
 
 /**
  * Windowed time series of glob-selected deterministic metrics. On
@@ -791,11 +824,9 @@ bool statGlobMatch(const std::string &pattern, const std::string &path);
  * enable() configuration (globs, capacity) is construction-time state
  * pinned by the run fingerprint and must match at restore.
  */
-class MetricTimeline
+class MetricTimeline : private RecordRing<TimelineWindow>
 {
   public:
-    MetricTimeline() = default;
-
     /** EWMA smoothing factor (fixed; part of the on-disk format). */
     static constexpr double ewmaAlpha = 0.25;
 
@@ -803,41 +834,19 @@ class MetricTimeline
      *  windows. An empty glob list tracks everything. */
     void enable(std::vector<std::string> globs, std::size_t capacity);
 
-    /** Stop collecting and release storage. */
-    void disable();
-
-    /** True when collecting. */
-    bool enabled() const { return cap != 0; }
+    /** The ring's accessors, counted in windows; items() holds the
+     *  windows oldest first. */
+    using RecordRing::enabled, RecordRing::size, RecordRing::capacity,
+        RecordRing::recorded, RecordRing::dropped, RecordRing::items;
 
     /** True once the metric list has been bound (first observe()). */
     bool bound() const { return bound_; }
-
-    /** The enable()-time metric globs. */
-    const std::vector<std::string> &globs() const { return globs_; }
 
     /** Bound metric paths, sorted (empty before the first window). */
     const std::vector<std::string> &metrics() const { return names; }
 
     /** Record one window (no-op when disabled). */
     void observe(InstCount inst, const StatSnapshot &delta);
-
-    /** Windows currently held (<= capacity). */
-    std::size_t size() const { return held; }
-
-    /** Windows ever observed. */
-    std::uint64_t recorded() const { return total; }
-
-    /** Windows overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
-
-    /** Ring capacity in windows (0 when disabled). */
-    std::size_t capacity() const { return cap; }
-
-    /** Instruction clock of each held window, oldest first. */
-    std::vector<InstCount> insts() const;
-
-    /** Held window values of bound metric @p metricIdx, oldest first. */
-    std::vector<double> series(std::size_t metricIdx) const;
 
     /** Streaming rollup over every observed window of one metric. */
     struct Rollup
@@ -852,9 +861,6 @@ class MetricTimeline
     {
         return rollups[metricIdx];
     }
-
-    /** Forget windows, binding, and rollups (config is kept). */
-    void clear();
 
     /**
      * The timeline body of the mct-timeline-v1 document: bound
@@ -875,94 +881,13 @@ class MetricTimeline
     template <class Ar>
     void io(Ar &ar);
 
-    /** io() for callers outside a template. */
-    void serialize(Serializer &s) const;
-    void deserialize(Deserializer &d);
-
   private:
-    struct Window
-    {
-        InstCount inst = 0;
-        std::vector<double> vals; ///< one per bound metric
-    };
-
     std::vector<std::string> globs_;
     std::vector<std::string> names; ///< bound metric paths, sorted
-    std::vector<Window> ring;
     std::vector<Rollup> rollups;
-    std::size_t cap = 0;
-    std::size_t head = 0; ///< next slot to write
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     bool bound_ = false;
 
     bool selected(const std::string &path) const;
-};
-
-/**
- * Wall-clock profiler for the bench harness: accumulates real elapsed
- * seconds per named stage (trace replay, sampling, fit, optimize...).
- * Stages may nest and repeat; begin/end pairs per name must balance.
- */
-class WallProfiler
-{
-  public:
-    /** Start (or resume) a stage. */
-    void begin(const std::string &stage);
-
-    /** Stop a stage and accumulate its elapsed time. */
-    void end(const std::string &stage);
-
-    /** RAII stage guard. */
-    class Scope
-    {
-      public:
-        Scope(WallProfiler *profiler, const char *stage)
-            : p(profiler), name(stage)
-        {
-            if (p)
-                p->begin(name);
-        }
-        ~Scope()
-        {
-            if (p)
-                p->end(name);
-        }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        WallProfiler *p;
-        const char *name;
-    };
-
-    struct Stage
-    {
-        std::string name;
-        double seconds = 0.0;
-        std::uint64_t calls = 0;
-    };
-
-    /** All stages, in first-use order. */
-    std::vector<Stage> stages() const;
-
-    /** Accumulated seconds of one stage (0 when absent). */
-    double seconds(const std::string &stage) const;
-
-    /** {"stages":[{"name","seconds","calls"}...]} */
-    void writeJson(std::ostream &os) const;
-
-  private:
-    struct Cell
-    {
-        double seconds = 0.0;
-        std::uint64_t calls = 0;
-        std::chrono::steady_clock::time_point start{};
-        bool open = false;
-    };
-
-    std::map<std::string, Cell> cells;
-    std::vector<std::string> order;
 };
 
 /** Process memory telemetry parsed from /proc/self/status. */

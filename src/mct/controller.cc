@@ -520,8 +520,6 @@ MctController::samplingRound(Decision &decision)
                  static_cast<double>(samples_.size()),
                  static_cast<double>(p.sampling.unitInsts));
     const InstCount samplingStart = sys.retired();
-    if (p.profiler)
-        p.profiler->begin("sampling");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->begin("sampling");
     std::vector<Metrics> sampled;
@@ -553,8 +551,6 @@ MctController::samplingRound(Decision &decision)
         for (const auto &cfg : samples_)
             sampled.push_back(p.steadyMeasure(cfg));
     }
-    if (p.profiler)
-        p.profiler->end("sampling");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->end("sampling");
     if (samplingHist)
@@ -592,16 +588,12 @@ MctController::samplingRound(Decision &decision)
         yEnergy[i] = ratio(sampled[i].energyJ, pairBase[i].energyJ);
     }
 
-    if (p.profiler)
-        p.profiler->begin("fit");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->begin("fit");
     const Prediction pIpc = predictObjective(data, yIpc, "ipc");
     const Prediction pLife = predictObjective(data, yLife, "lifetime");
     const Prediction pEnergy =
         predictObjective(data, yEnergy, "energy");
-    if (p.profiler)
-        p.profiler->end("fit");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->end("fit");
     const ml::Vector &predIpc = pIpc.values;
@@ -648,13 +640,9 @@ MctController::samplingRound(Decision &decision)
     }
     decision = Decision{};
     decision.atInstruction = sys.retired();
-    if (p.profiler)
-        p.profiler->begin("optimize");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->begin("optimize");
     int idx = chooseOptimal(predicted, p.objective);
-    if (p.profiler)
-        p.profiler->end("optimize");
     if (HostProfiler *hp = sys.hostProfiler())
         hp->end("optimize");
     if (idx >= 0 && p.steadyMeasure) {

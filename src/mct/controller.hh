@@ -155,16 +155,6 @@ struct MctParams
      *  so the sampling overhead (Fig 9) stays accounted. */
     bool liveSamplingOverhead = true;
 
-    /**
-     * Optional wall-clock stage profiler (bench self-profiling). When
-     * set, the controller charges its sampling / fit / optimize
-     * stages so harness-level timings become attributable. Never
-     * feeds back into simulated state. A HostProfiler attached to the
-     * managed System (System::attachHostProfiler) is charged the same
-     * stages with wall *and* CPU time, no extra wiring needed.
-     */
-    WallProfiler *profiler = nullptr;
-
     /** Graceful-degradation behavior (see RecoveryParams). */
     RecoveryParams recovery{};
 

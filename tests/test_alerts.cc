@@ -216,7 +216,7 @@ TEST(AlertConditions, AboveRaisesAfterStreakAndClears)
     EXPECT_EQ(active, want);
     EXPECT_EQ(eng.raised(), 1u);
     EXPECT_EQ(eng.cleared(), 1u);
-    const auto log = eng.log();
+    const auto log = eng.log().items();
     ASSERT_EQ(log.size(), 2u);
     EXPECT_TRUE(log[0].raisedEv);
     EXPECT_EQ(log[0].window, 3u);
@@ -370,9 +370,9 @@ TEST(AlertEngineTest, LogRingWrapsWithDroppedAccounting)
     drive(eng, series);
     EXPECT_EQ(eng.raised(), 5u);
     EXPECT_EQ(eng.cleared(), 5u);
-    const auto log = eng.log();
+    const auto log = eng.log().items();
     ASSERT_EQ(log.size(), 4u);
-    EXPECT_EQ(eng.logDropped(), 6u);
+    EXPECT_EQ(eng.log().dropped(), 6u);
     // The survivors are the newest four events, oldest first.
     EXPECT_TRUE(log[0].raisedEv);
     EXPECT_EQ(log[0].window, 6u);
@@ -399,6 +399,15 @@ TEST(AlertEngineTest, WriteJsonlShape)
     EXPECT_EQ(l1.find("windows_active"), std::string::npos);
     EXPECT_NE(l2.find("\"ev\":\"alert_cleared\""), std::string::npos);
     EXPECT_NE(l2.find("\"windows_active\":1"), std::string::npos);
+    EXPECT_EQ(os.str(),
+              "{\"ev\":\"alert_raised\",\"window\":0,\"inst\":1000,"
+              "\"rule\":\"r\",\"metric\":\"m.value\","
+              "\"condition\":\"above\",\"severity\":\"critical\","
+              "\"value\":20}\n"
+              "{\"ev\":\"alert_cleared\",\"window\":1,\"inst\":2000,"
+              "\"rule\":\"r\",\"metric\":\"m.value\","
+              "\"condition\":\"above\",\"severity\":\"critical\","
+              "\"value\":5,\"windows_active\":1}\n");
 }
 
 TEST(AlertEngineTest, DisarmedObserveIsANoOp)
@@ -421,12 +430,12 @@ TEST(AlertCheckpoint, RoundTripPreservesStreaksAndLog)
     a.enable({rule(AlertCondition::Above, 10.0, 3)}, 8);
     drive(a, {20, 20}); // mid-streak (2 of 3), nothing raised yet
     Serializer s;
-    a.serialize(s);
+    a.io(s);
 
     AlertEngine b;
     b.enable({rule(AlertCondition::Above, 10.0, 3)}, 8);
     Deserializer d(s.data());
-    b.deserialize(d);
+    b.io(d);
     ASSERT_TRUE(d.atEnd());
 
     // Both continue identically: the restored streak raises on the
@@ -440,8 +449,8 @@ TEST(AlertCheckpoint, RoundTripPreservesStreaksAndLog)
     b.writeJsonl(jb);
     EXPECT_EQ(ja.str(), jb.str());
     Serializer sa, sb;
-    a.serialize(sa);
-    b.serialize(sb);
+    a.io(sa);
+    b.io(sb);
     EXPECT_EQ(sa.data(), sb.data());
 }
 
@@ -450,7 +459,7 @@ TEST(AlertCheckpointDeathTest, ConfigMismatchPanics)
     AlertEngine a;
     a.enable({rule(AlertCondition::Above, 10.0)}, 8);
     Serializer s;
-    a.serialize(s);
+    a.io(s);
 
     // Different rule count.
     AlertEngine b;
@@ -458,13 +467,13 @@ TEST(AlertCheckpointDeathTest, ConfigMismatchPanics)
               rule(AlertCondition::Below, 0.0)},
              8);
     Deserializer d1(s.data());
-    EXPECT_DEATH(b.deserialize(d1), "configuration mismatch");
+    EXPECT_DEATH(b.io(d1), "configuration mismatch");
 
     // Different log capacity.
     AlertEngine c;
     c.enable({rule(AlertCondition::Above, 10.0)}, 16);
     Deserializer d2(s.data());
-    EXPECT_DEATH(c.deserialize(d2), "configuration mismatch");
+    EXPECT_DEATH(c.io(d2), "configuration mismatch");
 }
 
 } // namespace

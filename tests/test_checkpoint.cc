@@ -425,7 +425,7 @@ TEST(CheckpointFormat, PayloadStructBytesArePinned)
 TEST(CheckpointFormat, ScriptedObserverBytesArePinned)
 {
     // The states the EventTrace, MetricTimeline and AlertEngine
-    // golden tests script.
+    // golden tests script, and a wrapped ProvenanceTrace.
     EventTrace trace;
     trace.enable(8);
     InstCount now = 500;
@@ -459,16 +459,34 @@ TEST(CheckpointFormat, ScriptedObserverBytesArePinned)
         alerts.observe(static_cast<InstCount>(i * 1000), w);
     }
     EXPECT_EQ(digest(alerts), 0x577f5976b093aeceULL);
+
+    // Three closed records through a two-slot ring: the first is
+    // overwritten, so the slots hold the third before the second.
+    ProvenanceTrace prov;
+    prov.enable(2);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        ProvenanceRecord rec;
+        rec.seq = i;
+        rec.inst = 1000 * (i + 1);
+        rec.model = "gbt";
+        rec.configKey = "cfg" + std::to_string(i);
+        rec.runnerUps.resize(i);
+        closeProvenanceRecord(rec, 0.5 + static_cast<double>(i), 8.0,
+                              0.25, 1000 * (i + 2));
+        prov.record(rec);
+    }
+    EXPECT_EQ(digest(prov), 0xb71e86bd77acc77fULL);
 }
 
-TEST(CheckpointFormat, InFlightSpanBytesArePinned)
+/**
+ * Spans from two cores, closed out of the order they opened in, wrap
+ * the four-slot ring and leave three open, one of them re-begun while
+ * open. @p now is the trace's instruction clock.
+ */
+void
+scriptInFlightSpans(SpanTrace &spans, InstCount &now)
 {
-    // Spans from two cores, closed out of the order they opened in,
-    // wrap the four-slot ring and leave three open, one of them
-    // re-begun while open: the open-span table's bytes are pinned.
-    SpanTrace spans;
     spans.enable(2, 4);
-    InstCount now = 100;
     spans.setClock(&now);
     const std::uint64_t core1 = 1ULL << 56;
     const auto open = [&](std::uint64_t id, Tick at, bool l1Hit) {
@@ -505,9 +523,112 @@ TEST(CheckpointFormat, InFlightSpanBytesArePinned)
     spans.stageMark(6, SpanStage::CtrlQueue, 1450, 1470);
     open(6, 1480, true); // re-begun while open: starts over
     open(core1 | 6, 1490, false);
+}
+
+TEST(CheckpointFormat, InFlightSpanBytesArePinned)
+{
+    // The open-span table's bytes are pinned.
+    SpanTrace spans;
+    InstCount now = 100;
+    scriptInFlightSpans(spans, now);
     ASSERT_EQ(spans.recorded(), 6u);
     ASSERT_EQ(spans.size(), 4u);
     EXPECT_EQ(digest(spans), 0xc84a3458f5c040bcULL);
+}
+
+TEST(SpanWriters, WrappedRingBytesArePinned)
+{
+    // Both writers walk the wrapped ring oldest first.
+    SpanTrace spans;
+    InstCount now = 100;
+    scriptInFlightSpans(spans, now);
+    std::ostringstream jsonl, chrome;
+    spans.writeJsonl(jsonl);
+    spans.writeChromeTrace(chrome);
+    EXPECT_EQ(jsonl.str(),
+              "{\"id\":72057594037927938,\"addr\":4224,\"write\":1,"
+              "\"hit_level\":0,\"inst\":121,\"begin_ps\":1030,"
+              "\"end_ps\":1300,\"stages\":{\"l1\":[1030,1030],"
+              "\"l2\":[1030,1030],\"llc\":[1030,1030],\"mshr\":[1035,"
+              "1300]}}\n"
+              "{\"id\":0,\"addr\":4096,\"write\":1,\"hit_level\":0,"
+              "\"inst\":100,\"begin_ps\":1000,\"end_ps\":1310,"
+              "\"stages\":{\"l1\":[1000,1000],\"l2\":[1000,1000],"
+              "\"llc\":[1000,1000],\"mshr\":[1005,1310],"
+              "\"queue\":[1060,1090],\"bank\":[1090,1150],"
+              "\"device\":[1095,1140]}}\n"
+              "{\"id\":72057594037927940,\"addr\":4352,\"write\":0,"
+              "\"hit_level\":2,\"inst\":142,\"begin_ps\":1280,"
+              "\"end_ps\":1410,\"stages\":{\"l1\":[1280,1410]}}\n"
+              "{\"id\":8,\"addr\":4608,\"write\":0,\"hit_level\":0,"
+              "\"inst\":149,\"begin_ps\":1320,\"end_ps\":1420,"
+              "\"stages\":{\"l1\":[1320,1320],\"l2\":[1320,1320],"
+              "\"llc\":[1320,1320],\"mshr\":[1325,1420],"
+              "\"bank\":[1330,1400]}}\n");
+    EXPECT_EQ(chrome.str(),
+              "{\"displayTimeUnit\":\"ms\","
+              "\"traceEvents\":[{\"name\":\"thread_name\","
+              "\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+              "\"args\":{\"name\":\"cache.l1\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":2,\"args\":{\"name\":\"cache.l2\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":3,\"args\":{\"name\":\"cache.llc\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":4,\"args\":{\"name\":\"cpu.mshr\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":5,\"args\":{\"name\":\"memctrl.queue\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":6,\"args\":{\"name\":\"memctrl.bank\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+              "\"tid\":7,\"args\":{\"name\":\"nvm.device\"}},"
+              "{\"name\":\"l1\",\"ph\":\"X\",\"ts\":1030,\"dur\":0,"
+              "\"pid\":1,\"tid\":1,"
+              "\"args\":{\"id\":72057594037927938,\"addr\":4224,"
+              "\"hit_level\":0}},{\"name\":\"l2\",\"ph\":\"X\","
+              "\"ts\":1030,\"dur\":0,\"pid\":1,\"tid\":2,"
+              "\"args\":{\"id\":72057594037927938,\"addr\":4224,"
+              "\"hit_level\":0}},{\"name\":\"llc\",\"ph\":\"X\","
+              "\"ts\":1030,\"dur\":0,\"pid\":1,\"tid\":3,"
+              "\"args\":{\"id\":72057594037927938,\"addr\":4224,"
+              "\"hit_level\":0}},{\"name\":\"mshr\",\"ph\":\"X\","
+              "\"ts\":1035,\"dur\":265,\"pid\":1,\"tid\":4,"
+              "\"args\":{\"id\":72057594037927938,\"addr\":4224,"
+              "\"hit_level\":0}},{\"name\":\"l1\",\"ph\":\"X\","
+              "\"ts\":1000,\"dur\":0,\"pid\":1,\"tid\":1,"
+              "\"args\":{\"id\":0,\"addr\":4096,\"hit_level\":0}},"
+              "{\"name\":\"l2\",\"ph\":\"X\",\"ts\":1000,\"dur\":0,"
+              "\"pid\":1,\"tid\":2,\"args\":{\"id\":0,\"addr\":4096,"
+              "\"hit_level\":0}},{\"name\":\"llc\",\"ph\":\"X\","
+              "\"ts\":1000,\"dur\":0,\"pid\":1,\"tid\":3,"
+              "\"args\":{\"id\":0,\"addr\":4096,\"hit_level\":0}},"
+              "{\"name\":\"mshr\",\"ph\":\"X\",\"ts\":1005,"
+              "\"dur\":305,\"pid\":1,\"tid\":4,\"args\":{\"id\":0,"
+              "\"addr\":4096,\"hit_level\":0}},{\"name\":\"queue\","
+              "\"ph\":\"X\",\"ts\":1060,\"dur\":30,\"pid\":1,"
+              "\"tid\":5,\"args\":{\"id\":0,\"addr\":4096,"
+              "\"hit_level\":0}},{\"name\":\"bank\",\"ph\":\"X\","
+              "\"ts\":1090,\"dur\":60,\"pid\":1,\"tid\":6,"
+              "\"args\":{\"id\":0,\"addr\":4096,\"hit_level\":0}},"
+              "{\"name\":\"device\",\"ph\":\"X\",\"ts\":1095,"
+              "\"dur\":45,\"pid\":1,\"tid\":7,\"args\":{\"id\":0,"
+              "\"addr\":4096,\"hit_level\":0}},{\"name\":\"l1\","
+              "\"ph\":\"X\",\"ts\":1280,\"dur\":130,\"pid\":1,"
+              "\"tid\":1,\"args\":{\"id\":72057594037927940,"
+              "\"addr\":4352,\"hit_level\":2}},{\"name\":\"l1\","
+              "\"ph\":\"X\",\"ts\":1320,\"dur\":0,\"pid\":1,"
+              "\"tid\":1,\"args\":{\"id\":8,\"addr\":4608,"
+              "\"hit_level\":0}},{\"name\":\"l2\",\"ph\":\"X\","
+              "\"ts\":1320,\"dur\":0,\"pid\":1,\"tid\":2,"
+              "\"args\":{\"id\":8,\"addr\":4608,\"hit_level\":0}},"
+              "{\"name\":\"llc\",\"ph\":\"X\",\"ts\":1320,\"dur\":0,"
+              "\"pid\":1,\"tid\":3,\"args\":{\"id\":8,\"addr\":4608,"
+              "\"hit_level\":0}},{\"name\":\"mshr\",\"ph\":\"X\","
+              "\"ts\":1325,\"dur\":95,\"pid\":1,\"tid\":4,"
+              "\"args\":{\"id\":8,\"addr\":4608,\"hit_level\":0}},"
+              "{\"name\":\"bank\",\"ph\":\"X\",\"ts\":1330,"
+              "\"dur\":70,\"pid\":1,\"tid\":6,\"args\":{\"id\":8,"
+              "\"addr\":4608,\"hit_level\":0}}]}\n");
 }
 
 TEST(SystemRoundTrip, HostileStreamCountFailsTheStream)
@@ -628,7 +749,7 @@ TEST(CheckpointHostile, OpenSpanTableIsSortedOnRestore)
     b.end(5, 100, 0); // the id is gone from the table
     b.end(9, 100, 0);
     b.end(12, 100, 0);
-    const std::vector<SpanRecord> closed = b.spans();
+    const std::vector<SpanRecord> closed = b.items();
     ASSERT_EQ(closed.size(), 2u);
     EXPECT_EQ(closed[0].addr, 0x90u);
     EXPECT_EQ(closed[1].addr, 0x50u); // the first record listed as 12

@@ -3,7 +3,7 @@
  * Tests for the unified instrumentation layer: StatRegistry snapshots
  * and deltas, LogHistogram bucketing, the EventTrace ring buffer and
  * its JSONL / Chrome serializations, System and MctController
- * integration, the WallProfiler, and StatsReport::print alignment.
+ * integration, the HostProfiler, and StatsReport::print alignment.
  */
 
 #include <gtest/gtest.h>
@@ -187,7 +187,7 @@ TEST(EventTrace, RingWraparound)
     EXPECT_EQ(t.dropped(), 6u);
 
     // Only the newest four events survive, oldest first.
-    const auto evs = t.events();
+    const auto evs = t.items();
     ASSERT_EQ(evs.size(), 4u);
     for (int i = 0; i < 4; ++i)
         EXPECT_DOUBLE_EQ(evs[i].args[0], static_cast<double>(6 + i));
@@ -211,7 +211,7 @@ TEST(EventTrace, InstructionClock)
     t.record(TraceEventType::PhaseChange);
     now = 12345;
     t.record(TraceEventType::PhaseChange);
-    const auto evs = t.events();
+    const auto evs = t.items();
     ASSERT_EQ(evs.size(), 2u);
     EXPECT_EQ(evs[0].inst, 0u);
     EXPECT_EQ(evs[1].inst, 12345u);
@@ -323,7 +323,7 @@ TEST(SystemStats, TraceRecordsConfigAndDrainEvents)
               1u);
     // Timestamps are instruction counts: monotone and bounded by the
     // retired-instruction clock.
-    for (const TraceEvent &e : sys.eventTrace().events())
+    for (const TraceEvent &e : sys.eventTrace().items())
         EXPECT_LE(e.inst, sys.retired());
 }
 
@@ -590,7 +590,7 @@ TEST(Provenance, RingWraparoundIsAccounted)
     EXPECT_EQ(t.size(), 2u);
     EXPECT_EQ(t.recorded(), 3u);
     EXPECT_EQ(t.dropped(), 1u);
-    const auto held = t.records();
+    const auto held = t.items();
     ASSERT_EQ(held.size(), 2u);
     EXPECT_EQ(held[0].seq, 1u); // oldest first; seq 0 overwritten
     EXPECT_EQ(held[1].seq, 2u);
@@ -643,41 +643,6 @@ TEST(MctAudit, ProvenanceIsByteIdenticalAcrossRuns)
     const std::string second = runOnce();
     ASSERT_FALSE(first.empty()); // at least one closed record
     EXPECT_EQ(first, second);
-}
-
-// --------------------------------------------------------------------
-// WallProfiler
-// --------------------------------------------------------------------
-
-TEST(WallProfiler, AccumulatesStages)
-{
-    WallProfiler p;
-    p.begin("fit");
-    p.end("fit");
-    {
-        WallProfiler::Scope scope(&p, "fit");
-    }
-    {
-        WallProfiler::Scope scope(&p, "optimize");
-    }
-
-    const auto stages = p.stages();
-    ASSERT_EQ(stages.size(), 2u);
-    EXPECT_EQ(stages[0].name, "fit"); // first-use order
-    EXPECT_EQ(stages[0].calls, 2u);
-    EXPECT_EQ(stages[1].name, "optimize");
-    EXPECT_GE(p.seconds("fit"), 0.0);
-    EXPECT_DOUBLE_EQ(p.seconds("absent"), 0.0);
-
-    std::ostringstream os;
-    p.writeJson(os);
-    EXPECT_NE(os.str().find("\"stages\":["), std::string::npos);
-    EXPECT_NE(os.str().find("\"name\":\"fit\""), std::string::npos);
-}
-
-TEST(WallProfiler, NullScopeIsSafe)
-{
-    WallProfiler::Scope scope(nullptr, "anything");
 }
 
 // --------------------------------------------------------------------
@@ -884,11 +849,32 @@ TEST(HostProfiler, WriteJsonEmitsHostSchemaAndStages)
     EXPECT_NE(doc.find("\"sim.host.rss_hwm_kb\":"), std::string::npos);
     EXPECT_NE(doc.find("\"stages\":["), std::string::npos);
     EXPECT_NE(doc.find("\"name\":\"step\""), std::string::npos);
+    EXPECT_EQ(doc,
+              "{\"schema\":\"mct-host-v1\",\"mode\":\"eval\","
+              "\"app\":\"stream\",\"config\":\"cfg0\","
+              "\"final\":{\"sim.mips\":1,\"sim.host.wall_seconds\":2,"
+              "\"sim.host.cpu_seconds\":0.5,"
+              "\"sim.host.cpu_util\":0.25,\"sim.host.rss_kb\":300,"
+              "\"sim.host.rss_hwm_kb\":400,\"sim.host.heap_kb\":0,"
+              "\"sim.host.instructions\":2000000,"
+              "\"sim.host.timeline_dropped\":0},\"periodic\":[],"
+              "\"stages\":[{\"name\":\"step\",\"seconds\":1,"
+              "\"cpu_seconds\":0,\"calls\":1}]}\n");
 
     std::ostringstream trace;
     p.writeChromeTrace(trace);
     EXPECT_NE(trace.str().find("\"traceEvents\":["), std::string::npos);
     EXPECT_NE(trace.str().find("\"mct_sim host\""), std::string::npos);
+    EXPECT_EQ(trace.str(),
+              "{\"displayTimeUnit\":\"ms\","
+              "\"traceEvents\":[{\"name\":\"process_name\","
+              "\"ph\":\"M\",\"pid\":3,"
+              "\"args\":{\"name\":\"mct_sim host\"}},"
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":3,"
+              "\"tid\":1,\"args\":{\"name\":\"host\"}},"
+              "{\"name\":\"step\",\"ph\":\"X\",\"ts\":1000000,"
+              "\"dur\":1000000,\"pid\":3,\"tid\":1,"
+              "\"args\":{\"cpu_us\":0}}]}\n");
 }
 
 // --------------------------------------------------------------------
@@ -939,10 +925,16 @@ TEST(MetricTimeline, RingWrapsWithDroppedAccounting)
     EXPECT_EQ(tl.recorded(), 5u);
     EXPECT_EQ(tl.dropped(), 2u);
     // The survivors are the newest three windows, oldest first.
+    std::vector<InstCount> insts;
+    std::vector<double> series;
+    for (const TimelineWindow &w : tl.items()) {
+        insts.push_back(w.inst);
+        series.push_back(w.vals.at(0));
+    }
     const std::vector<InstCount> wantInsts = {3000, 4000, 5000};
-    EXPECT_EQ(tl.insts(), wantInsts);
+    EXPECT_EQ(insts, wantInsts);
     const std::vector<double> wantSeries = {3.0, 4.0, 5.0};
-    EXPECT_EQ(tl.series(0), wantSeries);
+    EXPECT_EQ(series, wantSeries);
 }
 
 TEST(MetricTimeline, RollupsCoverDroppedWindows)
@@ -975,6 +967,23 @@ TEST(MetricTimeline, WriteJsonIsByteIdenticalAcrossRuns)
     };
     const std::string doc = run();
     EXPECT_EQ(doc, run());
+    EXPECT_EQ(doc,
+              "{\"schema\":\"mct-timeline-v1\",\"mode\":\"eval\","
+              "\"app\":\"lbm\",\"config\":\"cfg\",\"capacity\":4,"
+              "\"metrics\":[\"sim.objective.ipc\","
+              "\"sim.objective.lifetime_years\"],\"inst\":[3000,4000,"
+              "5000,6000],\"series\":{\"sim.objective.ipc\":[4,5,6,"
+              "7],\"sim.objective.lifetime_years\":[6,8,10,12]},"
+              "\"final\":{\"alert.count.critical\":0,"
+              "\"sim.timeline.dropped\":2,\"sim.timeline.metrics\":2,"
+              "\"sim.timeline.recorded\":6,"
+              "\"sim.timeline.windows\":4,"
+              "\"timeline.sim.objective.ipc.ewma\":4.7119140625,"
+              "\"timeline.sim.objective.ipc.max\":7,"
+              "\"timeline.sim.objective.ipc.min\":2,"
+              "\"timeline.sim.objective.lifetime_years.ewma\":7.423828125,"
+              "\"timeline.sim.objective.lifetime_years.max\":12,"
+              "\"timeline.sim.objective.lifetime_years.min\":2}}\n");
     EXPECT_NE(doc.find("\"schema\":\"mct-timeline-v1\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"sim.timeline.dropped\":2"),
@@ -995,12 +1004,12 @@ TEST(MetricTimeline, CheckpointRoundTripReproducesDocument)
         a.observe(static_cast<InstCount>(i * 1000),
                   timelineWindow(static_cast<double>(i), 1.0));
     Serializer s;
-    a.serialize(s);
+    a.io(s);
 
     MetricTimeline b;
     b.enable({"sim.*"}, 3);
     Deserializer d(s.data());
-    b.deserialize(d);
+    b.io(d);
     ASSERT_TRUE(d.atEnd());
 
     a.observe(6000, timelineWindow(6.0, 1.0));

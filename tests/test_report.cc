@@ -170,7 +170,7 @@ TEST(Loaders, SpansConvertPicosecondsToNanoseconds)
 }
 
 // --------------------------------------------------------------------
-// Host-telemetry documents (mct-host-v1) and medians
+// Host-telemetry documents (mct-host-v1)
 // --------------------------------------------------------------------
 
 const char *hostDoc(const char *mips, const char *stepSeconds)
@@ -211,48 +211,6 @@ TEST(HostDoc, LoadsAsBothSnapshotsAndProfile)
     EXPECT_DOUBLE_EQ(prof.stages[1].seconds, 1.5);
     EXPECT_DOUBLE_EQ(prof.stages[1].cpuSeconds, 1.0);
     EXPECT_EQ(prof.stages[1].calls, 20u);
-}
-
-TEST(HostDoc, MedianRunsTakesPerMetricMedian)
-{
-    const TempFile a(hostDoc("10.0", "1.0"));
-    const TempFile b(hostDoc("30.0", "2.0"));
-    const TempFile c(hostDoc("12.0", "9.0"));
-    std::vector<RunData> runs(3);
-    std::string err;
-    ASSERT_TRUE(loadSnapshots(a.path(), runs[0], err)) << err;
-    ASSERT_TRUE(loadSnapshots(b.path(), runs[1], err)) << err;
-    ASSERT_TRUE(loadSnapshots(c.path(), runs[2], err)) << err;
-
-    const RunData med = medianRuns(runs);
-    EXPECT_EQ(med.mode, "eval");
-    EXPECT_DOUBLE_EQ(med.finalScalars.at("sim.mips"), 12.0);
-    EXPECT_DOUBLE_EQ(med.finalScalars.at("sim.host.wall_seconds"),
-                     2.0);
-
-    // Even count: mean of the two middles.
-    runs.pop_back();
-    EXPECT_DOUBLE_EQ(medianRuns(runs).finalScalars.at("sim.mips"),
-                     20.0);
-}
-
-TEST(HostDoc, MedianProfilesKeepsFirstProfileOrder)
-{
-    const TempFile a(hostDoc("10.0", "1.0"));
-    const TempFile b(hostDoc("10.0", "3.0"));
-    const TempFile c(hostDoc("10.0", "2.0"));
-    std::vector<Profile> profs(3);
-    std::string err;
-    ASSERT_TRUE(loadProfile(a.path(), profs[0], err)) << err;
-    ASSERT_TRUE(loadProfile(b.path(), profs[1], err)) << err;
-    ASSERT_TRUE(loadProfile(c.path(), profs[2], err)) << err;
-
-    const Profile med = medianProfiles(profs);
-    ASSERT_EQ(med.stages.size(), 2u);
-    EXPECT_EQ(med.stages[0].name, "replay");
-    EXPECT_EQ(med.stages[1].name, "step");
-    EXPECT_DOUBLE_EQ(med.stages[1].seconds, 2.0);
-    EXPECT_DOUBLE_EQ(med.stages[1].cpuSeconds, 1.0);
 }
 
 TEST(HostDoc, SimMipsGateTripsOnlyOnCatastrophicSlowdown)

@@ -112,8 +112,10 @@
  * are written). A resumed run re-produces the uninterrupted run's
  * stats/spans/provenance surfaces byte for byte.
  *
- * Malformed numeric flag values are fatal errors, never silent zeros.
- * A malformed --faults plan prints the parse error and exits 2.
+ * Malformed numeric flag values are fatal errors naming the flag,
+ * never silent zeros: an integer flag takes a whole non-negative
+ * value its target can hold. A malformed --faults plan prints the
+ * parse error and exits 2.
  */
 
 #include <algorithm>
@@ -123,6 +125,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -201,8 +205,14 @@ struct Args
         return v;
     }
 
-    long long
-    getI(const std::string &k, long long dflt) const
+    /**
+     * A whole non-negative integer flag (nonzero when @p positive)
+     * that @p T can hold, or @p dflt when the flag is absent. Any
+     * other value is a fatal error naming the flag.
+     */
+    template <typename T>
+    T
+    getN(const std::string &k, T dflt, bool positive = false) const
     {
         const auto it = kv.find(k);
         if (it == kv.end())
@@ -211,9 +221,18 @@ struct Args
         long long v = 0;
         const auto [end, ec] =
             std::from_chars(s.data(), s.data() + s.size(), v);
-        if (ec != std::errc() || end != s.data() + s.size())
+        const bool whole = end == s.data() + s.size();
+        if (ec == std::errc::result_out_of_range && whole)
+            mct_fatal("--", k, " is out of range, got '", s, "'");
+        if (ec != std::errc() || !whole)
             mct_fatal("--", k, " expects an integer, got '", s, "'");
-        return v;
+        if (v < 0 || (positive && v == 0))
+            mct_fatal("--", k,
+                      positive ? " must be positive" : " must be non-negative");
+        if (static_cast<unsigned long long>(v) >
+            static_cast<unsigned long long>(std::numeric_limits<T>::max()))
+            mct_fatal("--", k, " is out of range, got '", s, "'");
+        return static_cast<T>(v);
     }
 };
 
@@ -249,12 +268,11 @@ configFromArgs(const Args &args)
     }
     if (args.has("bank")) {
         cfg.bankAware = true;
-        cfg.bankAwareThreshold =
-            static_cast<int>(args.getI("bank", 1));
+        cfg.bankAwareThreshold = args.getN("bank", 1);
     }
     if (args.has("eager")) {
         cfg.eagerWritebacks = true;
-        cfg.eagerThreshold = static_cast<int>(args.getI("eager", 4));
+        cfg.eagerThreshold = args.getN("eager", 4);
     }
     if (args.has("quota")) {
         cfg.wearQuota = true;
@@ -287,11 +305,9 @@ EvalParams
 evalFromArgs(const Args &args)
 {
     EvalParams ep;
-    ep.warmupInsts = static_cast<InstCount>(
-        args.getI("warmup", static_cast<long long>(ep.warmupInsts)));
-    ep.measureInsts = static_cast<InstCount>(
-        args.getI("measure", static_cast<long long>(ep.measureInsts)));
-    ep.sys.seed = static_cast<std::uint64_t>(args.getI("seed", 1));
+    ep.warmupInsts = args.getN("warmup", ep.warmupInsts);
+    ep.measureInsts = args.getN("measure", ep.measureInsts);
+    ep.sys.seed = args.getN<std::uint64_t>("seed", 1);
     if (args.has("startgap"))
         ep.sys.nvm.wearLevelMode = WearLevelMode::StartGap;
     return ep;
@@ -393,46 +409,27 @@ telemetryFromArgs(const Args &args)
     t.statsJson = args.get("stats-json", "");
     t.traceOut = args.get("trace-out", "");
     t.traceChrome = args.get("trace-chrome", "");
-    t.statsEvery =
-        static_cast<InstCount>(args.getI("stats-every", 0));
-    const long long cap = args.getI("trace-cap", 64 * 1024);
-    if (cap <= 0)
-        mct_fatal("--trace-cap must be positive");
-    t.traceCap = static_cast<std::size_t>(cap);
+    t.statsEvery = args.getN<InstCount>("stats-every", 0);
+    t.traceCap = args.getN("trace-cap", t.traceCap, true);
     t.spansOut = args.get("spans-out", "");
     t.spansChrome = args.get("spans-chrome", "");
-    const long long sample = args.getI("span-sample", 0);
-    if (sample < 0)
-        mct_fatal("--span-sample must be non-negative");
-    t.spanSample = static_cast<std::uint64_t>(sample);
-    const long long scap = args.getI("span-cap", 16 * 1024);
-    if (scap <= 0)
-        mct_fatal("--span-cap must be positive");
-    t.spanCap = static_cast<std::size_t>(scap);
+    t.spanSample = args.getN("span-sample", t.spanSample);
+    t.spanCap = args.getN("span-cap", t.spanCap, true);
     // A spans output implies sampling at the default period.
     if (t.spanSample == 0 &&
         (!t.spansOut.empty() || !t.spansChrome.empty()))
         t.spanSample = 64;
     t.provOut = args.get("provenance-out", "");
     t.provChrome = args.get("provenance-chrome", "");
-    const long long pcap = args.getI("provenance-cap", 4 * 1024);
-    if (pcap <= 0)
-        mct_fatal("--provenance-cap must be positive");
-    t.provCap = static_cast<std::size_t>(pcap);
-    const long long audit = args.getI("audit-every", 1);
-    if (audit < 0)
-        mct_fatal("--audit-every must be non-negative");
-    t.auditEvery = static_cast<std::uint64_t>(audit);
+    t.provCap = args.getN("provenance-cap", t.provCap, true);
+    t.auditEvery = args.getN("audit-every", t.auditEvery);
     t.hostOut = args.get("host-profile-out", "");
     t.hostChrome = args.get("host-profile-chrome", "");
     t.timelineOut = args.get("timeline-out", "");
     t.timelineGlobs = splitGlobs(args.get("timeline-metrics", "sim.*"));
     if (t.timelineGlobs.empty())
         mct_fatal("--timeline-metrics needs at least one glob");
-    const long long tcap = args.getI("timeline-cap", 512);
-    if (tcap <= 0)
-        mct_fatal("--timeline-cap must be positive");
-    t.timelineCap = static_cast<std::size_t>(tcap);
+    t.timelineCap = args.getN("timeline-cap", t.timelineCap, true);
     if (t.timelineOut.empty() &&
         (args.has("timeline-metrics") || args.has("timeline-cap")))
         mct_fatal("--timeline-metrics and --timeline-cap require "
@@ -483,7 +480,7 @@ FaultArgs
 faultsFromArgs(const Args &args)
 {
     FaultArgs f;
-    f.seed = static_cast<std::uint64_t>(args.getI("fault-seed", 1));
+    f.seed = args.getN<std::uint64_t>("fault-seed", 1);
     const std::string spec = args.get("faults", "");
     if (spec.empty())
         return f;
@@ -541,55 +538,6 @@ struct PeriodicDelta
     StatSnapshot delta;
 };
 
-/**
- * Drive @p step in chunks of @p t.statsEvery instructions (one chunk
- * of @p total when disabled), capturing a registry delta snapshot per
- * chunk. Without --stats-json the deltas stream to stdout as JSONL so
- * --stats-every is useful on its own.
- */
-template <typename StepFn>
-std::vector<PeriodicDelta>
-runWithPeriodicStats(System &sys, InstCount total, const Telemetry &t,
-                     StepFn step)
-{
-    std::vector<PeriodicDelta> out;
-    if (t.statsEvery == 0) {
-        step(total);
-        return out;
-    }
-    const InstCount target = sys.retired() + total;
-    StatSnapshot prev = sys.statRegistry().snapshot();
-    while (sys.retired() < target) {
-        step(std::min<InstCount>(t.statsEvery,
-                                 target - sys.retired()));
-        // Host telemetry refreshes on the same cadence but into its
-        // own sample stream, keeping the delta snapshots bit-stable.
-        if (HostProfiler *hp = sys.hostProfiler())
-            hp->samplePeriodic(
-                static_cast<std::uint64_t>(sys.retired()));
-        StatSnapshot cur = sys.statRegistry().snapshot();
-        PeriodicDelta pd;
-        pd.inst = sys.retired();
-        pd.delta = StatRegistry::delta(prev, cur);
-        prev = std::move(cur);
-        // Timeline capture and alert evaluation see the same window
-        // delta that the stats document records.
-        sys.observeWindow(pd.inst, pd.delta);
-        if (t.statsJson.empty()) {
-            JsonWriter w(std::cout);
-            w.beginObject();
-            w.kv("inst", static_cast<std::uint64_t>(pd.inst));
-            w.key("delta");
-            writeSnapshot(w, pd.delta);
-            w.endObject();
-            std::cout << '\n';
-        } else {
-            out.push_back(std::move(pd));
-        }
-    }
-    return out;
-}
-
 /** Raised by SIGTERM/SIGINT while checkpointing is armed. */
 volatile std::sig_atomic_t gStopRequested = 0;
 
@@ -625,10 +573,7 @@ ckptFromArgs(const Args &args)
 {
     CkptArgs c;
     c.out = args.get("ckpt-out", "");
-    const long long every = args.getI("ckpt-every", 1000 * 1000);
-    if (every <= 0)
-        mct_fatal("--ckpt-every must be positive");
-    c.every = static_cast<InstCount>(every);
+    c.every = args.getN<InstCount>("ckpt-every", 1000 * 1000, true);
     c.resume = args.has("resume");
     if (c.out.empty() && (c.resume || args.has("ckpt-every")))
         mct_fatal("--resume and --ckpt-every require --ckpt-out");
@@ -647,6 +592,17 @@ struct DriverState
     StatSnapshot prev;         ///< periodic-delta baseline
     InstCount lastCapture = 0; ///< inst of the last periodic capture
     std::vector<PeriodicDelta> periodic;
+
+    /** Close the warm-up: the measure window and the periodic-delta
+     *  baseline start here. */
+    void
+    startMeasure(const System &sys)
+    {
+        warmupDone = true;
+        s0 = sys.snapshot();
+        prev = sys.statRegistry().snapshot();
+        lastCapture = sys.retired();
+    }
 
     template <class Ar>
     void
@@ -700,39 +656,54 @@ runFingerprint(const std::string &mode, const std::string &app,
         f << g << ',';
     f << ";alerts=" << canonicalAlertRules(t.alertRules)
       << ";faults=" << args.get("faults", "")
-      << ";fault-seed=" << args.getI("fault-seed", 1)
+      << ";fault-seed=" << args.getN<std::uint64_t>("fault-seed", 1)
       << ";startgap=" << (args.has("startgap") ? 1 : 0);
     return f.str();
 }
 
 /**
- * One armed checkpoint schedule around a run. Boundaries live at
- * absolute multiples of the period in retired-instruction space, so
- * an uninterrupted run and a killed-then-resumed run chunk the
- * simulation identically — the foundation of byte-identical resume.
+ * The checkpoint schedule around a run. Armed (--ckpt-out), its
+ * boundaries live at absolute multiples of the period in
+ * retired-instruction space, so an uninterrupted run and a
+ * killed-then-resumed run chunk the simulation identically — the
+ * foundation of byte-identical resume. Unarmed, it has no store and
+ * no boundary, so the same loops run a plain run in one stretch per
+ * stats window: a boundary would split the controller's runFor and
+ * move its phase windows.
  */
 class CkptSession
 {
   public:
-    CkptSession(CheckpointStore &store, std::string fingerprint,
-                InstCount every, System &sys, DriverState &state)
-        : store_(store), fp(std::move(fingerprint)), every_(every),
-          sys_(sys), ds(state)
-    {}
+    CkptSession(const CkptArgs &ck, std::string fingerprint, System &sys,
+                DriverState &state)
+        : fp(std::move(fingerprint)), every_(ck.every), sys_(sys),
+          ds(state)
+    {
+        if (!ck.armed())
+            return;
+        store_.emplace(ck.out);
+        store_->registerStats(sys.statRegistry());
+        installStopHandler();
+    }
 
     void attachController(const MctController *c) { ctl = c; }
     void attachInjector(const FaultInjector *f) { inj = f; }
 
-    /** First checkpoint boundary strictly after @p inst. */
+    /** The slot store, or null when unarmed. */
+    CheckpointStore *store() { return store_ ? &*store_ : nullptr; }
+
+    /** First checkpoint boundary strictly after @p inst (none when
+     *  unarmed). */
     InstCount
     nextBoundary(InstCount inst) const
     {
-        return (inst / every_ + 1) * every_;
+        return store_ ? (inst / every_ + 1) * every_
+                      : std::numeric_limits<InstCount>::max();
     }
 
     /** Serialize everything live and publish one checkpoint. */
     bool
-    save() const
+    save()
     {
         HostProfiler::Scope stage(sys_.hostProfiler(), "ckpt");
         Serializer s;
@@ -744,13 +715,13 @@ class CkptSession
         s.putBool(inj != nullptr);
         if (inj)
             inj->serialize(s);
-        return store_.save(fp, s.data());
+        return store_->save(fp, s.data());
     }
 
     const std::string &fingerprint() const { return fp; }
 
   private:
-    CheckpointStore &store_;
+    std::optional<CheckpointStore> store_;
     std::string fp;
     InstCount every_;
     System &sys_;
@@ -760,15 +731,16 @@ class CkptSession
 };
 
 /**
- * Run to the absolute instruction @p target in checkpoint-bounded
- * chunks. Returns false when a stop signal preempted the stretch (the
- * caller writes the final checkpoint and exits).
+ * Run the warm-up to the absolute instruction @p target in
+ * checkpoint-bounded chunks, charged to the host "replay" stage.
+ * Returns false when a stop signal preempted the stretch (the caller
+ * writes the final checkpoint and exits).
  */
 template <typename StepFn>
 bool
-runArmedTo(System &sys, InstCount target, const CkptSession &ck,
-           StepFn step)
+runArmedTo(System &sys, InstCount target, CkptSession &ck, StepFn step)
 {
+    HostProfiler::Scope replay(sys.hostProfiler(), "replay");
     while (sys.retired() < target && !gStopRequested) {
         const InstCount ckptAt = ck.nextBoundary(sys.retired());
         step(std::min(target, ckptAt) - sys.retired());
@@ -779,15 +751,16 @@ runArmedTo(System &sys, InstCount target, const CkptSession &ck,
 }
 
 /**
- * The measure loop under an armed checkpoint schedule: chunk to the
- * next stats or checkpoint boundary (whichever is closer), capturing
- * periodic deltas with the same cadence and content as
- * runWithPeriodicStats. Returns false on preemption.
+ * The measure loop: chunk to the next stats or checkpoint boundary
+ * (whichever is closer), capturing a registry delta snapshot at every
+ * stats boundary. Without --stats-json the deltas stream to stdout as
+ * JSONL so --stats-every is useful on its own. Returns false on
+ * preemption.
  */
 template <typename StepFn>
 bool
 runMeasureArmed(System &sys, InstCount target, const Telemetry &t,
-                const CkptSession &ck, DriverState &ds, StepFn step)
+                CkptSession &ck, DriverState &ds, StepFn step)
 {
     while (sys.retired() < target && !gStopRequested) {
         InstCount stop = target;
@@ -810,9 +783,8 @@ runMeasureArmed(System &sys, InstCount target, const Telemetry &t,
             pd.delta = StatRegistry::delta(ds.prev, cur);
             ds.prev = std::move(cur);
             ds.lastCapture = pd.inst;
-            // Same hook as the unarmed loop: window content and order
-            // are identical, so timeline/alert state (and thus their
-            // serialized checkpoints) replay byte for byte.
+            // Timeline capture and alert evaluation see the same
+            // window delta that the stats document records.
             sys.observeWindow(pd.inst, pd.delta);
             if (t.statsJson.empty()) {
                 JsonWriter w(std::cout);
@@ -834,7 +806,7 @@ runMeasureArmed(System &sys, InstCount target, const Telemetry &t,
 
 /** Publish the final checkpoint of a preempted run and exit 75. */
 int
-preempted(const CkptSession &ck, const System &sys)
+preempted(CkptSession &ck, const System &sys)
 {
     ck.save();
     std::printf("checkpoint     preempted at inst %llu\n",
@@ -851,10 +823,11 @@ preempted(const CkptSession &ck, const System &sys)
  * the constructed controller (null in eval mode).
  */
 MctController *
-restoreFromCheckpoint(CheckpointStore &store, const CkptSession &sess,
-                      System &sys, DriverState &ds, FaultInjector *inj,
+restoreFromCheckpoint(CkptSession &sess, System &sys, DriverState &ds,
+                      FaultInjector *inj,
                       const std::function<MctController *()> &makeCtl)
 {
+    CheckpointStore &store = *sess.store();
     if (inj && inj->wantsCkptCorruption() &&
         !store.newestSlot().empty()) {
         // Chaos drill: scramble the newest slot before the load so
@@ -971,14 +944,12 @@ writeRunManifest(const std::string &path, const std::string &mode,
 }
 
 /** Write the machine-readable stats document (--stats-json). */
-bool
-writeStatsDoc(const Telemetry &t, const std::string &mode,
+void
+writeStatsDoc(std::ostream &os, const std::string &mode,
               const std::string &app, const System &sys,
               const MctController *ctl,
               const std::vector<PeriodicDelta> &periodic)
 {
-    AtomicFile file(t.statsJson);
-    std::ostream &os = file.stream();
     JsonWriter w(os);
     w.beginObject();
     w.kv("schema", "mct-stats-v1");
@@ -1046,7 +1017,28 @@ writeStatsDoc(const Telemetry &t, const std::string &mode,
     w.kv("events_dropped", trace.dropped());
     w.endObject();
     os << '\n';
-    return file.commit();
+}
+
+/** One telemetry file a run can write: its stdout label, where it
+ *  goes ("" when not requested), how the manifest lists it, how to
+ *  write it, and what to print after its path. */
+struct Surface
+{
+    const char *label;
+    std::string path;
+    const char *kind;
+    const char *schema;
+    std::function<void(std::ostream &)> write;
+    std::function<std::string()> summary;
+};
+
+/** " (A NAME_A, B NAME_B)": a surface's two headline counts. */
+std::string
+counts(std::uint64_t a, const char *nameA, std::uint64_t b,
+       const char *nameB)
+{
+    return " (" + std::to_string(a) + " " + nameA + ", " +
+           std::to_string(b) + " " + nameB + ")";
 }
 
 /** Write all requested telemetry surfaces; 0 on success. */
@@ -1057,174 +1049,97 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
                 const std::vector<PeriodicDelta> &periodic,
                 const RunIdentity &rid)
 {
-    std::vector<ManifestArtifact> artifacts;
-    const auto note = [&artifacts](const char *kind,
-                                   const char *schema,
-                                   const std::string &path) {
-        ManifestArtifact a;
-        a.kind = kind;
-        a.schema = schema;
-        a.path = path;
-        artifacts.push_back(std::move(a));
-    };
-    // Every surface written before the host profile itself.
-    std::optional<HostProfiler::Scope> emit(std::in_place,
-                                            sys.hostProfiler(), "emit");
-    if (!t.statsJson.empty()) {
-        if (!writeStatsDoc(t, mode, app, sys, ctl, periodic)) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.statsJson.c_str());
-            return 1;
-        }
-        std::printf("stats-json     %s\n", t.statsJson.c_str());
-        note("stats", "mct-stats-v1", t.statsJson);
-    }
     const EventTrace &trace = sys.eventTrace();
-    if (!t.traceOut.empty()) {
-        AtomicFile f(t.traceOut);
-        trace.writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.traceOut.c_str());
-            return 1;
-        }
-        std::printf("trace-out      %s (%llu events, %llu dropped)\n",
-                    t.traceOut.c_str(),
-                    static_cast<unsigned long long>(trace.size()),
-                    static_cast<unsigned long long>(trace.dropped()));
-        note("trace", "", t.traceOut);
-    }
-    if (!t.traceChrome.empty()) {
-        AtomicFile f(t.traceChrome);
-        trace.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.traceChrome.c_str());
-            return 1;
-        }
-        std::printf("trace-chrome   %s\n", t.traceChrome.c_str());
-        note("trace_chrome", "", t.traceChrome);
-    }
     const SpanTrace &spans = sys.spanTrace();
-    if (!t.spansOut.empty()) {
-        AtomicFile f(t.spansOut);
-        spans.writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.spansOut.c_str());
-            return 1;
-        }
-        std::printf("spans-out      %s (%llu spans, %llu dropped)\n",
-                    t.spansOut.c_str(),
-                    static_cast<unsigned long long>(spans.size()),
-                    static_cast<unsigned long long>(spans.dropped()));
-        note("spans", "", t.spansOut);
-    }
-    if (!t.spansChrome.empty()) {
-        AtomicFile f(t.spansChrome);
-        spans.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.spansChrome.c_str());
-            return 1;
-        }
-        std::printf("spans-chrome   %s\n", t.spansChrome.c_str());
-        note("spans_chrome", "", t.spansChrome);
-    }
     const ProvenanceTrace &prov = sys.provenanceTrace();
-    if (!t.provOut.empty()) {
-        AtomicFile f(t.provOut);
-        prov.writeJsonl(f.stream());
+    const MetricTimeline &timeline = sys.timeline();
+    const AlertEngine &alerts = sys.alerts();
+    HostProfiler *const hp = sys.hostProfiler();
+    const std::string config = configKey(sys.config());
+    const Surface surfaces[] = {
+        {"stats-json", t.statsJson, "stats", "mct-stats-v1",
+         [&](std::ostream &os) {
+             writeStatsDoc(os, mode, app, sys, ctl, periodic);
+         },
+         nullptr},
+        {"trace-out", t.traceOut, "trace", "",
+         [&](std::ostream &os) { trace.writeJsonl(os); },
+         [&] {
+             return counts(trace.size(), "events", trace.dropped(),
+                           "dropped");
+         }},
+        {"trace-chrome", t.traceChrome, "trace_chrome", "",
+         [&](std::ostream &os) { trace.writeChromeTrace(os); }, nullptr},
+        {"spans-out", t.spansOut, "spans", "",
+         [&](std::ostream &os) { spans.writeJsonl(os); },
+         [&] {
+             return counts(spans.size(), "spans", spans.dropped(),
+                           "dropped");
+         }},
+        {"spans-chrome", t.spansChrome, "spans_chrome", "",
+         [&](std::ostream &os) { spans.writeChromeTrace(os); }, nullptr},
+        {"provenance-out", t.provOut, "provenance", "",
+         [&](std::ostream &os) { prov.writeJsonl(os); },
+         [&] {
+             return counts(prov.size(), "records", prov.dropped(),
+                           "dropped");
+         }},
+        {"provenance-chrome", t.provChrome, "provenance_chrome", "",
+         [&](std::ostream &os) { prov.writeChromeTrace(os); }, nullptr},
+        {"timeline-out", t.timelineOut, "timeline", "mct-timeline-v1",
+         [&](std::ostream &os) {
+             std::map<std::string, double> extra;
+             if (alerts.enabled())
+                 alerts.appendFinal(extra);
+             timeline.writeJson(os, mode, app, config, extra);
+         },
+         [&] {
+             return counts(timeline.recorded(), "windows",
+                           timeline.dropped(), "dropped");
+         }},
+        {"alerts-out", t.alertsOut, "alerts", "",
+         [&](std::ostream &os) { alerts.writeJsonl(os); },
+         [&] {
+             return counts(alerts.raised(), "raised", alerts.cleared(),
+                           "cleared");
+         }},
+        // The host profile's own two rows come last: they report the
+        // emit stage, so it must have ended before they are written.
+        {"host-profile", t.hostOut, "host", "mct-host-v1",
+         [&](std::ostream &os) { hp->writeJson(os, mode, app, config); },
+         [&] {
+             char buf[64];
+             std::snprintf(buf, sizeof buf, " (%.2f mips, rss %.0f kB)",
+                           hp->mips(), hp->rssHighWaterKb());
+             return std::string(buf);
+         }},
+        {"host-chrome", t.hostChrome, "host_chrome", "",
+         [&](std::ostream &os) { hp->writeChromeTrace(os); }, nullptr},
+    };
+    const Surface *const firstHost = std::end(surfaces) - 2;
+
+    std::vector<ManifestArtifact> artifacts;
+    std::optional<HostProfiler::Scope> emit(std::in_place, hp, "emit");
+    for (const Surface &s : surfaces) {
+        if (&s == firstHost) {
+            emit.reset();
+            if (hp)
+                hp->sampleMemory(); // end-of-run RSS / high-water refresh
+        }
+        if (s.path.empty())
+            continue;
+        AtomicFile f(s.path);
+        s.write(f.stream());
         if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.provOut.c_str());
+            std::fprintf(stderr, "cannot write '%s'\n", s.path.c_str());
             return 1;
         }
-        std::printf("provenance-out %s (%llu records, %llu dropped)\n",
-                    t.provOut.c_str(),
-                    static_cast<unsigned long long>(prov.size()),
-                    static_cast<unsigned long long>(prov.dropped()));
-        note("provenance", "", t.provOut);
-    }
-    if (!t.provChrome.empty()) {
-        AtomicFile f(t.provChrome);
-        prov.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.provChrome.c_str());
-            return 1;
-        }
-        std::printf("provenance-chrome %s\n", t.provChrome.c_str());
-        note("provenance_chrome", "", t.provChrome);
-    }
-    if (!t.timelineOut.empty()) {
-        AtomicFile f(t.timelineOut);
-        std::map<std::string, double> extra;
-        if (sys.alerts().enabled())
-            sys.alerts().appendFinal(extra);
-        sys.timeline().writeJson(f.stream(), mode, app,
-                                 configKey(sys.config()), extra);
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.timelineOut.c_str());
-            return 1;
-        }
-        std::printf("timeline-out   %s (%llu windows, %llu dropped)\n",
-                    t.timelineOut.c_str(),
-                    static_cast<unsigned long long>(
-                        sys.timeline().recorded()),
-                    static_cast<unsigned long long>(
-                        sys.timeline().dropped()));
-        note("timeline", "mct-timeline-v1", t.timelineOut);
-    }
-    if (!t.alertsOut.empty()) {
-        AtomicFile f(t.alertsOut);
-        sys.alerts().writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.alertsOut.c_str());
-            return 1;
-        }
-        std::printf("alerts-out     %s (%llu raised, %llu cleared)\n",
-                    t.alertsOut.c_str(),
-                    static_cast<unsigned long long>(
-                        sys.alerts().raised()),
-                    static_cast<unsigned long long>(
-                        sys.alerts().cleared()));
-        note("alerts", "", t.alertsOut);
-    }
-    emit.reset();
-    if (HostProfiler *hp = sys.hostProfiler()) {
-        hp->sampleMemory(); // end-of-run RSS / high-water refresh
-        if (!t.hostOut.empty()) {
-            AtomicFile f(t.hostOut);
-            hp->writeJson(f.stream(), mode, app,
-                          configKey(sys.config()));
-            if (!f.commit()) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             t.hostOut.c_str());
-                return 1;
-            }
-            std::printf("host-profile   %s (%.2f mips, rss %.0f kB)\n",
-                        t.hostOut.c_str(), hp->mips(),
-                        hp->rssHighWaterKb());
-            note("host", "mct-host-v1", t.hostOut);
-        }
-        if (!t.hostChrome.empty()) {
-            AtomicFile f(t.hostChrome);
-            hp->writeChromeTrace(f.stream());
-            if (!f.commit()) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             t.hostChrome.c_str());
-                return 1;
-            }
-            std::printf("host-chrome    %s\n", t.hostChrome.c_str());
-            note("host_chrome", "", t.hostChrome);
-        }
+        std::printf("%-14s %s%s\n", s.label, s.path.c_str(),
+                    s.summary ? s.summary().c_str() : "");
+        artifacts.push_back({s.kind, s.schema, s.path});
     }
     if (!t.manifestOut.empty() &&
-        !writeRunManifest(t.manifestOut, mode, app,
-                          configKey(sys.config()), rid,
+        !writeRunManifest(t.manifestOut, mode, app, config, rid,
                           std::move(artifacts)))
         return 1;
     return 0;
@@ -1259,8 +1174,8 @@ cmdEval(const Args &args)
     // --trace FILE replays a recorded trace instead of a model.
     if (args.has("trace")) {
         const std::string path = args.get("trace", "");
-        auto wl = TraceWorkload::fromFile(
-            path, static_cast<unsigned>(args.getI("mlp", 16)));
+        auto wl = TraceWorkload::fromFile(path,
+                                          args.getN<unsigned>("mlp", 16));
         System sys(std::move(wl), ep.sys, cfg);
         sys.run(ep.warmupInsts);
         const SysSnapshot s0 = sys.snapshot();
@@ -1321,60 +1236,28 @@ cmdEval(const Args &args)
             ep.sys.seed, args.get("faults", ""),
             runFingerprint("eval", app, configKey(cfg), ep,
                            ep.measureInsts, tel, args, ck.every)};
-        if (ck.armed()) {
-            CheckpointStore store(ck.out);
-            store.registerStats(sys.statRegistry());
-            DriverState ds;
-            CkptSession sess(store, rid.fingerprint, ck.every, sys,
-                             ds);
-            if (faults.any())
-                sess.attachInjector(&inj);
-            installStopHandler();
-            if (ck.resume)
-                restoreFromCheckpoint(store, sess, sys, ds,
-                                      faults.any() ? &inj : nullptr,
-                                      nullptr);
-            if (!ds.warmupDone) {
-                bool finished = false;
-                {
-                    HostProfiler::Scope replay(sys.hostProfiler(),
-                                               "replay");
-                    finished = runArmedTo(sys, ep.warmupInsts, sess,
-                                          step);
-                }
-                if (!finished)
-                    return preempted(sess, sys);
-                ds.warmupDone = true;
-                ds.s0 = sys.snapshot();
-                ds.prev = sys.statRegistry().snapshot();
-                ds.lastCapture = sys.retired();
-            }
-            if (!runMeasureArmed(sys,
-                                 ds.s0.instructions + ep.measureInsts,
-                                 tel, sess, ds, step))
+        DriverState ds;
+        CkptSession sess(ck, rid.fingerprint, sys, ds);
+        if (faults.any())
+            sess.attachInjector(&inj);
+        if (ck.resume)
+            restoreFromCheckpoint(sess, sys, ds,
+                                  faults.any() ? &inj : nullptr, nullptr);
+        if (!ds.warmupDone) {
+            if (!runArmedTo(sys, ep.warmupInsts, sess, step))
                 return preempted(sess, sys);
-            printMetrics(sys.metricsSince(ds.s0));
-            if (faults.any())
-                printFaultSummary(inj, nullptr);
-            printCkptSummary(store);
-            return finishTelemetry(tel, "eval", app, sys, nullptr,
-                                   ds.periodic, rid);
+            ds.startMeasure(sys);
         }
-        {
-            HostProfiler::Scope replay(sys.hostProfiler(), "replay");
-            if (faults.any())
-                runChunked(sys, ep.warmupInsts);
-            else
-                sys.run(ep.warmupInsts);
-        }
-        const SysSnapshot s0 = sys.snapshot();
-        const auto periodic =
-            runWithPeriodicStats(sys, ep.measureInsts, tel, step);
-        printMetrics(sys.metricsSince(s0));
+        if (!runMeasureArmed(sys, ds.s0.instructions + ep.measureInsts,
+                             tel, sess, ds, step))
+            return preempted(sess, sys);
+        printMetrics(sys.metricsSince(ds.s0));
         if (faults.any())
             printFaultSummary(inj, nullptr);
+        if (sess.store())
+            printCkptSummary(*sess.store());
         return finishTelemetry(tel, "eval", app, sys, nullptr,
-                               periodic, rid);
+                               ds.periodic, rid);
     }
     printMetrics(evaluateConfig(app, cfg, ep));
     return 0;
@@ -1388,11 +1271,10 @@ cmdTrace(const Args &args)
         std::fprintf(stderr, "unknown app '%s'\n", app.c_str());
         return 2;
     }
-    const std::size_t count = static_cast<std::size_t>(
-        args.getI("ops", 100 * 1000));
+    const auto count = args.getN<std::size_t>("ops", 100 * 1000);
+    const auto seed = args.getN<std::uint64_t>("seed", 1);
     const std::string out = args.get("out", app + ".trace");
-    auto wl = makeWorkload(
-        app, static_cast<std::uint64_t>(args.getI("seed", 1)));
+    auto wl = makeWorkload(app, seed);
     const auto ops = captureTrace(*wl, count);
     std::ofstream os(out);
     if (!os) {
@@ -1407,10 +1289,8 @@ cmdTrace(const Args &args)
     if (!manifestOut.empty()) {
         std::ostringstream fp;
         fp << "mct-trace-fp-v1;app=" << app << ";ops=" << count
-           << ";seed=" << args.getI("seed", 1);
-        const RunIdentity rid{
-            static_cast<std::uint64_t>(args.getI("seed", 1)), "",
-            fp.str()};
+           << ";seed=" << seed;
+        const RunIdentity rid{seed, "", fp.str()};
         ManifestArtifact a;
         a.kind = "trace_capture";
         a.path = out;
@@ -1433,8 +1313,7 @@ cmdMct(const Args &args)
     const Telemetry tel = telemetryFromArgs(args);
     const FaultArgs faults = faultsFromArgs(args);
     const CkptArgs ck = ckptFromArgs(args);
-    const InstCount total =
-        static_cast<InstCount>(args.getI("insts", 4 * 1000 * 1000));
+    const auto total = args.getN<InstCount>("insts", 4 * 1000 * 1000);
 
     MctParams mp;
     mp.objective.minLifetimeYears = args.getD("target", 8.0);
@@ -1475,120 +1354,66 @@ cmdMct(const Args &args)
     const RunIdentity rid{ep.sys.seed, args.get("faults", ""),
                           runFingerprint("mct", app, configId, ep,
                                          total, tel, args, ck.every)};
-    if (ck.armed()) {
-        CheckpointStore store(ck.out);
-        store.registerStats(sys.statRegistry());
-        DriverState ds;
-        CkptSession sess(store, rid.fingerprint, ck.every, sys, ds);
-        if (faults.any())
-            sess.attachInjector(&inj);
-        installStopHandler();
-        std::unique_ptr<MctController> ctl;
-        if (ck.resume) {
-            restoreFromCheckpoint(
-                store, sess, sys, ds,
-                faults.any() ? &inj : nullptr, [&] {
-                    ctl = std::make_unique<MctController>(sys, mp);
-                    return ctl.get();
-                });
-            if (ctl)
-                sess.attachController(ctl.get());
-        }
-        if (!ds.warmupDone) {
-            bool finished = false;
-            {
-                HostProfiler::Scope replay(sys.hostProfiler(),
-                                           "replay");
-                finished = runArmedTo(sys, ep.warmupInsts, sess,
-                                      [&](InstCount n) { sys.run(n); });
-            }
-            if (!finished)
-                return preempted(sess, sys);
-            ctl = std::make_unique<MctController>(sys, mp);
+    DriverState ds;
+    CkptSession sess(ck, rid.fingerprint, sys, ds);
+    if (faults.any())
+        sess.attachInjector(&inj);
+    std::unique_ptr<MctController> ctl;
+    if (ck.resume) {
+        restoreFromCheckpoint(sess, sys, ds, faults.any() ? &inj : nullptr,
+                              [&] {
+                                  ctl = std::make_unique<MctController>(
+                                      sys, mp);
+                                  return ctl.get();
+                              });
+        if (ctl)
             sess.attachController(ctl.get());
-            ds.warmupDone = true;
-            ds.s0 = sys.snapshot();
-            ds.prev = sys.statRegistry().snapshot();
-            ds.lastCapture = sys.retired();
-        }
-        // Close the observe -> react loop: a critical alert climbs
-        // the controller's health-check ladder. Alerts only evaluate
-        // at measure-window boundaries, so wiring after construction
-        // (and after any resume overlay) cannot miss a firing.
-        sys.alerts().setEscalation(
-            [&ctl](const AlertRule &, const std::string &) {
-                ctl->noteCriticalAlert();
-            });
-        if (!runMeasureArmed(sys, ds.s0.instructions + total, tel,
-                             sess, ds,
-                             [&](InstCount n) { ctl->runFor(n); }))
+    }
+    if (!ds.warmupDone) {
+        if (!runArmedTo(sys, ep.warmupInsts, sess,
+                        [&](InstCount n) { sys.run(n); }))
             return preempted(sess, sys);
-        // A record opened by the final decision has no realization
-        // window left; count it dropped before stats are read.
-        ctl->finalizeAudit();
-        std::printf("app            %s (target %.1f years, %s)\n",
-                    app.c_str(), mp.objective.minLifetimeYears,
-                    model.c_str());
-        std::printf("decisions      %zu (resamplings %llu, "
-                    "fallbacks %llu)\n",
-                    ctl->decisions().size(),
-                    static_cast<unsigned long long>(
-                        ctl->resamplings()),
-                    static_cast<unsigned long long>(ctl->fallbacks()));
-        std::printf("audit          %llu closed, %llu dropped, "
-                    "regret %.4f\n",
-                    static_cast<unsigned long long>(ctl->auditClosed()),
-                    static_cast<unsigned long long>(
-                        ctl->auditDropped()),
-                    ctl->cumulativeRegret());
-        std::printf("chosen         %s\n",
-                    toString(ctl->currentConfig()).c_str());
-        printMetrics(sys.metricsSince(ds.s0));
-        if (faults.any())
-            printFaultSummary(inj, ctl.get());
-        printCkptSummary(store);
-        if (tel.any())
-            return finishTelemetry(tel, "mct", app, sys, ctl.get(),
-                                   ds.periodic, rid);
-        return 0;
+        ctl = std::make_unique<MctController>(sys, mp);
+        sess.attachController(ctl.get());
+        ds.startMeasure(sys);
     }
-
-    {
-        HostProfiler::Scope replay(sys.hostProfiler(), "replay");
-        sys.run(ep.warmupInsts);
-    }
-    MctController ctl(sys, mp);
+    // Close the observe -> react loop: a critical alert climbs the
+    // controller's health-check ladder. Alerts only evaluate at
+    // measure-window boundaries, so wiring after construction (and
+    // after any resume overlay) cannot miss a firing.
     sys.alerts().setEscalation(
         [&ctl](const AlertRule &, const std::string &) {
-            ctl.noteCriticalAlert();
+            ctl->noteCriticalAlert();
         });
-    const SysSnapshot before = sys.snapshot();
-    const auto periodic = runWithPeriodicStats(
-        sys, total, tel, [&](InstCount n) { ctl.runFor(n); });
+    if (!runMeasureArmed(sys, ds.s0.instructions + total, tel, sess, ds,
+                         [&](InstCount n) { ctl->runFor(n); }))
+        return preempted(sess, sys);
     // A record opened by the final decision has no realization window
     // left; count it dropped before any stats or traces are read.
-    ctl.finalizeAudit();
+    ctl->finalizeAudit();
     std::printf("app            %s (target %.1f years, %s)\n",
                 app.c_str(), mp.objective.minLifetimeYears,
                 model.c_str());
     std::printf("decisions      %zu (resamplings %llu, "
                 "fallbacks %llu)\n",
-                ctl.decisions().size(),
-                static_cast<unsigned long long>(ctl.resamplings()),
-                static_cast<unsigned long long>(ctl.fallbacks()));
+                ctl->decisions().size(),
+                static_cast<unsigned long long>(ctl->resamplings()),
+                static_cast<unsigned long long>(ctl->fallbacks()));
     std::printf("audit          %llu closed, %llu dropped, "
                 "regret %.4f\n",
-                static_cast<unsigned long long>(ctl.auditClosed()),
-                static_cast<unsigned long long>(ctl.auditDropped()),
-                ctl.cumulativeRegret());
+                static_cast<unsigned long long>(ctl->auditClosed()),
+                static_cast<unsigned long long>(ctl->auditDropped()),
+                ctl->cumulativeRegret());
     std::printf("chosen         %s\n",
-                toString(ctl.currentConfig()).c_str());
-    printMetrics(sys.metricsSince(before));
+                toString(ctl->currentConfig()).c_str());
+    printMetrics(sys.metricsSince(ds.s0));
     if (faults.any())
-        printFaultSummary(inj, &ctl);
+        printFaultSummary(inj, ctl.get());
+    if (sess.store())
+        printCkptSummary(*sess.store());
     if (tel.any())
-        return finishTelemetry(tel, "mct", app, sys, &ctl, periodic,
-                               rid);
+        return finishTelemetry(tel, "mct", app, sys, ctl.get(),
+                               ds.periodic, rid);
     return 0;
 }
 

@@ -3,7 +3,7 @@
  * mct_report — analyze and regression-gate mct_sim telemetry.
  *
  * Usage:
- *   mct_report show --stats-json FILE [--spans FILE] [--profile FILE]
+ *   mct_report show --stats-json FILE [--spans FILE] [--host FILE]
  *                   [--windows N]
  *   mct_report explain [RUN.json] --provenance FILE [--decisions N]
  *   mct_report diff --base FILE --new FILE [--thresholds FILE]
@@ -11,14 +11,15 @@
  *   mct_report aggregate MANIFEST [MANIFEST ...] [--group-by FIELD]
  *                   [--with-host] [--outlier-k K] [--no-verify]
  *                   [--out FLEET.json]
- *   mct_report perf --host FILE [--base FILE]
- *                   [--thresholds FILE] [--out FILE]
  *   mct_report timeline --timeline FILE [--alerts FILE]
  *                   [--windows N]
  *
  * `show` renders one run: objectives, the lat.* latency-attribution
  * breakdown with p50/p90/p99, per-window tables, event counts, and
- * optional span/WallProfiler summaries.
+ * optional span summaries. --host renders an mct-host-v1 document
+ * (mct_sim --host-profile-out, or a bench binary's --profile-out):
+ * sim.mips throughput, wall/CPU seconds, RSS high-water, and the
+ * per-stage host attribution table.
  *
  * `explain` renders the decision audit from a --provenance-out JSONL
  * stream: per decision the predicted vs realized objectives with the
@@ -56,25 +57,25 @@
  * document so sim.mips gates alongside the sim stats; --out writes
  * the mct-fleet-v1 document, which `diff` gates like any stats
  * document. The output is byte-identical for any ordering of the
- * MANIFEST arguments.
+ * MANIFEST arguments. Gating host telemetry is the same pair: CI
+ * aggregates three runs' manifests --with-host, then diffs the fleet
+ * document against a pinned baseline.
  *
- * `perf` renders the host-telemetry document an mct_sim
- * --host-profile-out run writes: sim.mips throughput, wall/CPU
- * seconds, RSS high-water, and the per-stage host attribution table.
- * With --base the run is gated against a pinned baseline exactly
- * like diff. Multi-run noise damping goes through `aggregate` on the
- * runs' manifests (CI gates the mean of three runs).
+ * Numeric flag values must be whole non-negative numbers; anything
+ * else is a usage error naming the flag.
  *
  * Exit codes: 0 clean, 1 at least one regression, 2 usage error,
  * 3 unreadable or malformed input (including "integrity error:"
  * checksum failures from `aggregate`). `show` uses 0, 2 and 3.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/atomic_file.hh"
@@ -92,8 +93,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: mct_report show --stats-json FILE [--spans FILE]\n"
-        "                       [--profile FILE] [--host FILE]\n"
-        "                       [--windows N]\n"
+        "                       [--host FILE] [--windows N]\n"
         "       mct_report explain [RUN.json] --provenance FILE\n"
         "                       [--decisions N]\n"
         "       mct_report diff --base FILE --new FILE\n"
@@ -102,8 +102,6 @@ usage()
         "                       [--group-by FIELD] [--with-host]\n"
         "                       [--outlier-k K] [--no-verify]\n"
         "                       [--out FLEET.json]\n"
-        "       mct_report perf --host FILE [--base FILE]\n"
-        "                       [--thresholds FILE] [--out FILE]\n"
         "       mct_report timeline --timeline FILE [--alerts FILE]\n"
         "                       [--windows N]\n");
     return 2;
@@ -121,29 +119,50 @@ flagValue(int argc, char **argv, int &i, std::string &out)
     return true;
 }
 
+/**
+ * Fetch the value after a flag as a whole non-negative number; a
+ * sign, trailing junk, overflow or a non-finite value is "bad FLAG
+ * 'VALUE'" and false, which callers turn into exit 2.
+ */
+template <typename T>
+bool
+numberValue(int argc, char **argv, int &i, T &out)
+{
+    const char *flag = argv[i];
+    std::string v;
+    if (!flagValue(argc, argv, i, v))
+        return false;
+    T n{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    bool ok = ec == std::errc() && end == v.data() + v.size();
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(n) && n >= 0.0;
+    if (!ok) {
+        std::fprintf(stderr, "bad %s '%s'\n", flag, v.c_str());
+        return false;
+    }
+    out = n;
+    return true;
+}
+
 int
 cmdShow(int argc, char **argv)
 {
-    std::string statsPath, spansPath, profilePath, hostPath;
+    std::string statsPath, spansPath, hostPath;
     std::size_t windows = 8;
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--stats-json")) {
             if (!flagValue(argc, argv, i, statsPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--spans")) {
             if (!flagValue(argc, argv, i, spansPath))
                 return 2;
-        } else if (!std::strcmp(argv[i], "--profile")) {
-            if (!flagValue(argc, argv, i, profilePath))
-                return 2;
         } else if (!std::strcmp(argv[i], "--host")) {
             if (!flagValue(argc, argv, i, hostPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--windows")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!numberValue(argc, argv, i, windows))
                 return 2;
-            windows = static_cast<std::size_t>(std::stoul(v));
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage();
@@ -170,15 +189,6 @@ cmdShow(int argc, char **argv)
         std::cout << "\n";
         renderSpans(std::cout, spans);
     }
-    if (!profilePath.empty()) {
-        Profile prof;
-        if (!loadProfile(profilePath, prof, err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            return 3;
-        }
-        std::cout << "\nself-profile:\n";
-        renderProfile(std::cout, prof);
-    }
     if (!hostPath.empty()) {
         RunData host;
         Profile prof;
@@ -195,96 +205,6 @@ cmdShow(int argc, char **argv)
 }
 
 /**
- * perf: render (and optionally gate) one host-telemetry document;
- * with --base it is diffed against a pinned baseline through the
- * thresholds rules (sim.mips, direction higher). Exit 1 on
- * regression, mirroring diff. Multi-run damping lives in
- * `aggregate` (the mean over the runs' manifests), not here.
- */
-int
-cmdPerf(int argc, char **argv)
-{
-    std::string hostPath, basePath, thresholdsPath, outPath;
-    for (int i = 2; i < argc; ++i) {
-        std::string v;
-        if (!std::strcmp(argv[i], "--host")) {
-            if (!flagValue(argc, argv, i, v))
-                return 2;
-            if (!hostPath.empty()) {
-                std::fprintf(stderr,
-                             "repeated --host: use mct_report "
-                             "aggregate for multi-run rollups\n");
-                return usage();
-            }
-            hostPath = v;
-        } else if (!std::strcmp(argv[i], "--base")) {
-            if (!flagValue(argc, argv, i, basePath))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--thresholds")) {
-            if (!flagValue(argc, argv, i, thresholdsPath))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--out")) {
-            if (!flagValue(argc, argv, i, outPath))
-                return 2;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-            return usage();
-        }
-    }
-    if (hostPath.empty())
-        return usage();
-
-    std::string err;
-    RunData cur;
-    Profile prof;
-    if (!loadSnapshots(hostPath, cur, err) ||
-        !loadProfile(hostPath, prof, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    renderHostSummary(std::cout, cur, prof);
-    if (basePath.empty())
-        return 0;
-
-    Thresholds th;
-    if (thresholdsPath.empty()) {
-        if (!parseThresholds(defaultThresholdsText(), th, err)) {
-            std::fprintf(stderr, "internal: bad default thresholds: "
-                                 "%s\n",
-                         err.c_str());
-            return 3;
-        }
-    } else if (!loadThresholds(thresholdsPath, th, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    RunData base;
-    if (!loadSnapshots(basePath, base, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    const DiffReport rep = diffRuns(base, cur, th);
-    std::cout << "\n";
-    renderDiff(std::cout, base, cur, rep);
-    if (rep.checks.empty()) {
-        std::fprintf(stderr,
-                     "error: no metric matched any threshold rule\n");
-        return 3;
-    }
-    if (!outPath.empty()) {
-        mct::AtomicFile f(outPath);
-        writeBenchReport(f.stream(), base, cur, rep);
-        if (!f.commit()) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         outPath.c_str());
-            return 3;
-        }
-        std::printf("report written to %s\n", outPath.c_str());
-    }
-    return rep.regressions ? 1 : 0;
-}
-
-/**
  * aggregate: verify + merge N run manifests into one fleet rollup.
  * Exit 0 on success, 2 on usage errors, 3 on unreadable/malformed
  * input — including the named "integrity error:" when an artifact's
@@ -297,7 +217,6 @@ cmdAggregate(int argc, char **argv)
     AggregateOptions opt;
     std::string outPath;
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--group-by")) {
             if (!flagValue(argc, argv, i, opt.groupBy))
                 return 2;
@@ -309,15 +228,8 @@ cmdAggregate(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--no-verify")) {
             opt.verify = false;
         } else if (!std::strcmp(argv[i], "--outlier-k")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!numberValue(argc, argv, i, opt.outlierK))
                 return 2;
-            try {
-                opt.outlierK = std::stod(v);
-            } catch (...) {
-                std::fprintf(stderr, "bad --outlier-k '%s'\n",
-                             v.c_str());
-                return 2;
-            }
         } else if (argv[i][0] != '-') {
             manifests.push_back(argv[i]);
         } else {
@@ -368,7 +280,6 @@ cmdTimeline(int argc, char **argv)
     std::string timelinePath, alertsPath;
     std::size_t windows = 0; // all held
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--timeline")) {
             if (!flagValue(argc, argv, i, timelinePath))
                 return 2;
@@ -376,9 +287,8 @@ cmdTimeline(int argc, char **argv)
             if (!flagValue(argc, argv, i, alertsPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--windows")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!numberValue(argc, argv, i, windows))
                 return 2;
-            windows = static_cast<std::size_t>(std::stoul(v));
         } else if (argv[i][0] != '-' && timelinePath.empty()) {
             timelinePath = argv[i]; // positional timeline document
         } else {
@@ -411,7 +321,6 @@ cmdExplain(int argc, char **argv)
     std::string statsPath, provPath;
     std::size_t decisions = 0; // 0 = all
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--provenance")) {
             if (!flagValue(argc, argv, i, provPath))
                 return 2;
@@ -419,9 +328,8 @@ cmdExplain(int argc, char **argv)
             if (!flagValue(argc, argv, i, statsPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--decisions")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!numberValue(argc, argv, i, decisions))
                 return 2;
-            decisions = static_cast<std::size_t>(std::stoul(v));
         } else if (argv[i][0] != '-' && statsPath.empty()) {
             statsPath = argv[i]; // positional run document
         } else {
@@ -543,8 +451,6 @@ main(int argc, char **argv)
         return cmdDiff(argc, argv);
     if (!std::strcmp(argv[1], "aggregate"))
         return cmdAggregate(argc, argv);
-    if (!std::strcmp(argv[1], "perf"))
-        return cmdPerf(argc, argv);
     if (!std::strcmp(argv[1], "timeline"))
         return cmdTimeline(argc, argv);
     std::fprintf(stderr, "unknown command '%s'\n", argv[1]);

@@ -447,35 +447,6 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
     return true;
 }
 
-RunData
-medianRuns(const std::vector<RunData> &runs)
-{
-    RunData out;
-    if (runs.empty())
-        return out;
-    out.path = "median-of-" + std::to_string(runs.size());
-    out.mode = runs[0].mode;
-    out.app = runs[0].app;
-    out.config = runs[0].config;
-    for (const auto &[name, v] : runs[0].finalScalars) {
-        (void)v;
-        std::vector<double> sample;
-        for (const RunData &r : runs) {
-            const auto it = r.finalScalars.find(name);
-            if (it != r.finalScalars.end())
-                sample.push_back(it->second);
-        }
-        if (!sample.empty()) {
-            std::sort(sample.begin(), sample.end());
-            const std::size_t n = sample.size();
-            out.finalScalars[name] =
-                n % 2 ? sample[n / 2]
-                      : (sample[n / 2 - 1] + sample[n / 2]) / 2.0;
-        }
-    }
-    return out;
-}
-
 // --------------------------------------------------------------------
 // Run manifests (mct-manifest-v1) + fleet rollup (mct-fleet-v1)
 // --------------------------------------------------------------------
@@ -1209,7 +1180,7 @@ loadSpans(const std::string &path, SpanSet &out, std::string &err)
 }
 
 // --------------------------------------------------------------------
-// WallProfiler dumps
+// Host stage tables
 // --------------------------------------------------------------------
 
 bool
@@ -1232,48 +1203,6 @@ loadProfile(const std::string &path, Profile &out, std::string &err)
         out.stages.push_back(std::move(st));
     }
     return true;
-}
-
-namespace
-{
-
-/** Median of a non-empty sample (mean of the middle two when even). */
-double
-medianOf(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
-}
-
-} // namespace
-
-Profile
-medianProfiles(const std::vector<Profile> &profiles)
-{
-    Profile out;
-    if (profiles.empty())
-        return out;
-    for (const ProfileStage &first : profiles[0].stages) {
-        std::vector<double> wall, cpu, calls;
-        for (const Profile &p : profiles) {
-            for (const ProfileStage &s : p.stages) {
-                if (s.name != first.name)
-                    continue;
-                wall.push_back(s.seconds);
-                cpu.push_back(s.cpuSeconds);
-                calls.push_back(static_cast<double>(s.calls));
-                break;
-            }
-        }
-        ProfileStage st;
-        st.name = first.name;
-        st.seconds = medianOf(wall);
-        st.cpuSeconds = medianOf(cpu);
-        st.calls = static_cast<std::uint64_t>(medianOf(calls));
-        out.stages.push_back(std::move(st));
-    }
-    return out;
 }
 
 // --------------------------------------------------------------------

@@ -4,12 +4,12 @@
  *
  * Loads the machine-readable artifacts the simulator emits — the
  * --stats-json document (mct-stats-v1), span/event JSONL streams, and
- * WallProfiler dumps — and either renders a single run (per-window
- * tables plus a latency-attribution breakdown) or diffs two runs
- * metric-by-metric against declarative relative thresholds
- * (thresholds.txt, same data-not-code style as tools/lint/rules.txt),
- * writing a machine-readable BENCH_report.json and exiting nonzero on
- * regression.
+ * host-profile documents (mct-host-v1) — and either renders a single
+ * run (per-window tables plus a latency-attribution breakdown) or
+ * diffs two runs metric-by-metric against declarative relative
+ * thresholds (thresholds.txt, same data-not-code style as
+ * tools/lint/rules.txt), writing a machine-readable BENCH_report.json
+ * and exiting nonzero on regression.
  *
  * Everything here is a small library so tests/test_report.cc can
  * exercise the parsing, threshold grammar, and diff semantics without
@@ -139,14 +139,6 @@ struct RunData
  */
 [[nodiscard]] bool loadSnapshots(const std::string &path, RunData &out,
                                  std::string &err);
-
-/**
- * Per-metric median across @p runs (final scalars only; mode, app
- * and config are taken from the first run). The CI perf-smoke job
- * gates the median of three host-telemetry runs so one noisy run on
- * a shared machine cannot fake a regression.
- */
-RunData medianRuns(const std::vector<RunData> &runs);
 
 // --------------------------------------------------------------------
 // Run manifests (mct-manifest-v1) + fleet rollup (mct-fleet-v1)
@@ -370,7 +362,7 @@ struct SpanSet
                              std::string &err);
 
 // --------------------------------------------------------------------
-// WallProfiler dumps
+// Host stage tables
 // --------------------------------------------------------------------
 
 struct ProfileStage
@@ -387,15 +379,12 @@ struct Profile
 };
 
 /**
- * Load a stage-timing dump ({"stages":[...]}): a bench WallProfiler
- * dump (--profile-out / MCT_BENCH_PROFILE) or the stages section of
- * an mct_sim --host-profile-out document, which adds cpu_seconds.
+ * Load the stage table ({"stages":[...]}) of an mct-host-v1 document:
+ * mct_sim --host-profile-out, or a bench binary's --profile-out /
+ * MCT_BENCH_PROFILE dump.
  */
 [[nodiscard]] bool loadProfile(const std::string &path, Profile &out,
                                std::string &err);
-
-/** Per-stage median across @p profiles (order from the first). */
-Profile medianProfiles(const std::vector<Profile> &profiles);
 
 // --------------------------------------------------------------------
 // Decision provenance (--provenance-out JSONL)
@@ -570,7 +559,7 @@ void renderExplain(std::ostream &os, const ProvSet &prov,
 void renderProfile(std::ostream &os, const Profile &profile);
 
 /**
- * Host-telemetry summary for one (possibly median) run: simulator
+ * Host-telemetry summary for one run: simulator
  * throughput (sim.mips), wall/CPU seconds, memory high-water, then
  * the per-stage host attribution table.
  */
