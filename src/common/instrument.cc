@@ -84,9 +84,8 @@ StatRegistry::Entry &
 StatRegistry::insert(const std::string &path, const std::string &desc)
 {
     auto [it, isNew] = entries.try_emplace(path);
-    if (isNew)
-        order.push_back(path);
-    it->second = Entry{};
+    if (!isNew)
+        mct_panic("stat '", path, "' is already registered");
     it->second.desc = desc;
     return it->second;
 }
@@ -901,8 +900,7 @@ bool
 statGlobMatch(const std::string &pattern, const std::string &path)
 {
     // Iterative greedy glob: '*' matches any run of characters (dots
-    // included), everything else is literal. Mirrors the report tool's
-    // threshold-rule matching so both sides select the same metrics.
+    // included), everything else is literal.
     std::size_t p = 0, s = 0;
     std::size_t star = std::string::npos, mark = 0;
     while (s < path.size()) {

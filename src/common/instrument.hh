@@ -175,10 +175,10 @@ enum class StatScope
 /**
  * Registry of named statistics. Components register closures over
  * their existing counters (or request registry-owned cells); queries
- * evaluate the closures on demand. Re-registering a path replaces the
- * previous entry — components that are reconstructed against the same
- * System (e.g. successive MctControllers in a bench) simply take the
- * path over.
+ * evaluate the closures on demand. Registering a path twice panics:
+ * replacing the entry would leave the first owner's cell reference
+ * dangling. One System therefore serves one owner per path (one
+ * MctController, one injector, ...).
  */
 class StatRegistry
 {
@@ -221,7 +221,7 @@ class StatRegistry
     bool has(const std::string &path) const;
 
     /** Number of registered stats. */
-    std::size_t size() const { return order.size(); }
+    std::size_t size() const { return entries.size(); }
 
     /** Description of a registered stat ("" when absent). */
     std::string description(const std::string &path) const;
@@ -266,7 +266,6 @@ class StatRegistry
     };
 
     std::map<std::string, Entry> entries;
-    std::vector<std::string> order; // registration order (for paths())
 
     Entry &insert(const std::string &path, const std::string &desc);
 };
@@ -787,10 +786,9 @@ class ProvenanceTrace : private RecordRing<ProvenanceRecord>
 
 /**
  * Glob match for dotted stat paths: '*' matches any run of
- * characters (dots included), everything else is literal. The same
- * semantics as the thresholds.txt / alerts.txt rule globs, exposed
- * here so simulated code (MetricTimeline, AlertEngine) and the report
- * tool agree on what a pattern selects.
+ * characters (dots included), everything else is literal. The one
+ * matcher behind the timeline's globs, alerts.txt rules and
+ * thresholds.txt rules, so every pattern selects the same metrics.
  */
 bool statGlobMatch(const std::string &pattern, const std::string &path);
 

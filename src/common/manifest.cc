@@ -11,33 +11,6 @@
 namespace mct
 {
 
-namespace
-{
-
-// Key contract of the mct-manifest-v1 document. The doc-contract
-// lint cross-checks these spellings against docs/observability.md,
-// and the manifest tests assert the writer below emits exactly them.
-// mct-lint:doc-keys:begin
-const char *const kManifestKeys[] = {
-    "schema",
-    "run_id",
-    "mode",
-    "app",
-    "config",
-    "seed",
-    "fault_plan",
-    "fingerprint",
-    "artifacts",
-    "artifacts[].kind",
-    "artifacts[].schema",
-    "artifacts[].path",
-    "artifacts[].bytes",
-    "artifacts[].fnv1a",
-};
-// mct-lint:doc-keys:end
-
-} // namespace
-
 bool
 checksumFile(const std::string &path, std::uint64_t &checksum,
              std::uint64_t &bytes)
@@ -119,14 +92,6 @@ writeManifestJson(std::ostream &os, const RunManifest &m)
     w.endArray();
     w.endObject();
     os << '\n';
-}
-
-const std::vector<std::string> &
-manifestDocKeys()
-{
-    static const std::vector<std::string> keys(
-        std::begin(kManifestKeys), std::end(kManifestKeys));
-    return keys;
 }
 
 } // namespace mct

@@ -81,9 +81,6 @@ std::string manifestRelative(const std::string &manifestPath,
  */
 void writeManifestJson(std::ostream &os, const RunManifest &m);
 
-/** Declared key set of mct-manifest-v1 (doc-contract lint + tests). */
-const std::vector<std::string> &manifestDocKeys();
-
 } // namespace mct
 
 #endif // MCT_COMMON_MANIFEST_HH

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/csv.hh"
-#include "common/instrument.hh"
 #include "common/logging.hh"
 
 namespace mct
@@ -149,15 +148,6 @@ SweepCache::get(const std::string &app, const MellowConfig &cfg)
     if (++unsaved >= 500)
         save();
     return m;
-}
-
-void
-SweepCache::registerStats(StatRegistry &reg,
-                          const std::string &prefix) const
-{
-    reg.addCounter(prefix + ".recovered_loads",
-                   [this] { return std::uint64_t(nRecovered); },
-                   "corrupt cache rows skipped and recomputed");
 }
 
 std::vector<Metrics>

@@ -21,8 +21,6 @@
 namespace mct
 {
 
-class StatRegistry;
-
 /** Canonical, parse-stable text key of a configuration. */
 std::string configKey(const MellowConfig &cfg);
 
@@ -75,10 +73,6 @@ class SweepCache
      *  tree (or the working directory when built without CMake),
      *  overridable via the MCT_SWEEP_CACHE environment variable. */
     [[nodiscard]] static std::string defaultPath();
-
-    /** Register the recovery counter (fault.recovered_loads). */
-    void registerStats(StatRegistry &reg,
-                       const std::string &prefix = "fault") const;
 
   private:
     EvalParams ep;

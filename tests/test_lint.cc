@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the mct_lint engine: rules.txt parsing, the
- * comment/string-stripping preprocessor, glob and pattern
- * unification, and the full analysis run against the seeded fixture
- * project under tests/lint_fixtures/proj (true positives for every
- * rule class, allowlists, and stat/event-contract drift in both
- * directions).
+ * comment/string-stripping preprocessor, glob matching, and the full
+ * analysis run against the seeded fixture project under
+ * tests/lint_fixtures/proj (true positives for the pattern rules and
+ * include hygiene, allowlists, and finding order).
  */
 
 #include <gtest/gtest.h>
@@ -73,10 +72,8 @@ TEST(ParseRules, ParsesRulesExcludesAndOptions)
                              "  allow     src/legacy.cc\n"
                              "  message   foo is banned\n"
                              "\n"
-                             "rule contract\n"
-                             "  builtin   stat-contract\n"
-                             "  docs      docs/c.md\n"
-                             "  names     parseA,parseB\n";
+                             "rule hygiene\n"
+                             "  builtin   include-hygiene\n";
     RulesFile rf;
     std::string err;
     ASSERT_TRUE(parseRules(text, rf, err)) << err;
@@ -88,10 +85,7 @@ TEST(ParseRules, ParsesRulesExcludesAndOptions)
     ASSERT_EQ(rf.rules[0].scopes.size(), 2u);
     EXPECT_EQ(rf.rules[0].allow.size(), 1u);
     EXPECT_EQ(rf.rules[0].message, "foo is banned");
-    EXPECT_EQ(rf.rules[1].builtin, "stat-contract");
-    EXPECT_EQ(rf.rules[1].docs, "docs/c.md");
-    ASSERT_EQ(rf.rules[1].names.size(), 2u);
-    EXPECT_EQ(rf.rules[1].names[1], "parseB");
+    EXPECT_EQ(rf.rules[1].builtin, "include-hygiene");
 }
 
 TEST(ParseRules, RejectsRuleWithPatternAndBuiltin)
@@ -100,7 +94,7 @@ TEST(ParseRules, RejectsRuleWithPatternAndBuiltin)
     std::string err;
     EXPECT_FALSE(parseRules("rule both\n"
                             "  pattern x\n"
-                            "  builtin stat-contract\n",
+                            "  builtin include-hygiene\n",
                             rf, err));
     EXPECT_NE(err.find("exactly one of pattern/builtin"),
               std::string::npos);
@@ -165,15 +159,6 @@ TEST(GlobMatch, DoubleStarCrossesSegments)
     EXPECT_FALSE(globMatch("src/**/*.hh", "src/sub/a.cc"));
 }
 
-TEST(PatternsUnify, HolesMatchEitherSide)
-{
-    EXPECT_TRUE(patternsUnify("cache.l1d.hits", "cache.l1d.hits"));
-    EXPECT_TRUE(patternsUnify("*.hits", "cache.l1d.hits"));
-    EXPECT_TRUE(patternsUnify("cache.*.hits", "*.hits"));
-    EXPECT_FALSE(patternsUnify("cache.l1d.hits", "cache.l2.hits"));
-    EXPECT_FALSE(patternsUnify("memctrl.reads", "nvm.reads"));
-}
-
 /** The full engine over the seeded fixture project. */
 class FixtureRun : public ::testing::Test
 {
@@ -188,7 +173,7 @@ class FixtureRun : public ::testing::Test
                 readFile(fixtureRoot() + "/rules.txt"), rf, err);
             EXPECT_TRUE(ok) << err;
             Linter lint(rf, fixtureRoot());
-            return lint.run({"src", "tests"});
+            return lint.run({"src"});
         }();
         return fs;
     }
@@ -220,103 +205,6 @@ TEST_F(FixtureRun, AllowlistedFileIsExempt)
     // seeded, so timer_ok.cc is findings-free).
     for (const auto &f : fs)
         EXPECT_NE(f.file, "src/timer_ok.cc") << f.rule;
-}
-
-TEST_F(FixtureRun, StatContractFlagsRegisteredButUndocumented)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "stat-contract",
-                           "stat 'app.undocumented' is registered "
-                           "but not documented"));
-    // The documented stats do not drift.
-    EXPECT_FALSE(hasMessage(fs, "stat-contract", "'app.documented' is "
-                                                 "registered but"));
-    EXPECT_FALSE(hasMessage(fs, "stat-contract",
-                            "'app.rate' is registered but"));
-}
-
-TEST_F(FixtureRun, StatContractFlagsDocumentedButGone)
-{
-    EXPECT_TRUE(hasMessage(findings(), "stat-contract",
-                           "documented stat 'app.ghost' is not "
-                           "registered"));
-}
-
-TEST_F(FixtureRun, StatContractFlagsDuplicateRegistration)
-{
-    EXPECT_TRUE(hasMessage(findings(), "stat-contract",
-                           "'app.documented' already registered"));
-}
-
-TEST_F(FixtureRun, EventContractDriftBothDirections)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "stat-contract",
-                           "event type 'undocumented_event' is not "
-                           "documented"));
-    EXPECT_TRUE(hasMessage(fs, "stat-contract",
-                           "documented event 'ghost_event' does not "
-                           "exist"));
-    EXPECT_FALSE(hasMessage(fs, "stat-contract", "'known_event'"));
-}
-
-TEST_F(FixtureRun, GoldenReferencingDeadEventIsFlagged)
-{
-    const auto &fs = findings();
-    EXPECT_TRUE(hasMessage(fs, "stat-contract",
-                           "golden references event 'stale_event'"));
-    EXPECT_EQ(countOf(fs, "stat-contract", "tests/golden_test.cc"),
-              1u);
-}
-
-TEST_F(FixtureRun, DocContractFlagsDriftInBothDirections)
-{
-    const auto &fs = findings();
-    // Declared in the dockeys.cc region but absent from the docs.
-    EXPECT_TRUE(hasMessage(fs, "doc-contract",
-                           "document key 'orphan_key' is declared in "
-                           "code but not documented"));
-    // Documented but declared by no doc-keys region.
-    EXPECT_TRUE(hasMessage(fs, "doc-contract",
-                           "documented document key 'ghost_key' is "
-                           "not declared"));
-    // Matching keys are quiet, including across '<hole>' spellings
-    // ('cells.<metric>.mean' unifies on both sides).
-    EXPECT_FALSE(hasMessage(fs, "doc-contract", "'schema'"));
-    EXPECT_FALSE(hasMessage(fs, "doc-contract", "'rows[].id'"));
-    EXPECT_FALSE(hasMessage(fs, "doc-contract", "'cells.*.mean'"));
-    EXPECT_EQ(countOf(fs, "doc-contract"), 2u);
-}
-
-TEST_F(FixtureRun, NonfiniteGaugeFlagsOnlyUnguardedDivision)
-{
-    const auto &fs = findings();
-    EXPECT_EQ(countOf(fs, "nonfinite-gauge", "src/stats.cc"), 1u);
-    EXPECT_EQ(countOf(fs, "nonfinite-gauge"), 2u);
-}
-
-TEST_F(FixtureRun, NonfiniteGaugeSeesGuardsOutsideTheClosure)
-{
-    // stats_helpers.cc divides by helper calls: total() has no guard
-    // in its body (fires), safeTotal() guards internally (must not).
-    const auto &fs = findings();
-    EXPECT_EQ(countOf(fs, "nonfinite-gauge", "src/stats_helpers.cc"),
-              1u);
-    const auto it = std::find_if(
-        fs.begin(), fs.end(), [](const Finding &f) {
-            return f.rule == "nonfinite-gauge" &&
-                   f.file == "src/stats_helpers.cc";
-        });
-    ASSERT_NE(it, fs.end());
-    // The surviving finding is the total() one (first addGauge call).
-    EXPECT_LT(it->line, 28);
-}
-
-TEST_F(FixtureRun, DiscardedResultFlagsBareStatementOnly)
-{
-    const auto &fs = findings();
-    EXPECT_EQ(countOf(fs, "discarded-result", "src/discard.cc"), 1u);
-    EXPECT_EQ(countOf(fs, "discarded-result"), 1u);
 }
 
 TEST_F(FixtureRun, IncludeHygieneFlagsUnusedDirectInclude)
@@ -368,115 +256,6 @@ TEST_F(FixtureRun, FindingsAreSortedByFileThenLine)
         else
             EXPECT_LT(fs[i - 1].file, fs[i].file);
     }
-}
-
-TEST(FixtureExtraction, StatRegsAndEventsAreExposed)
-{
-    RulesFile rf;
-    std::string err;
-    ASSERT_TRUE(parseRules(readFile(fixtureRoot() + "/rules.txt"),
-                           rf, err))
-        << err;
-    Linter lint(rf, fixtureRoot());
-    (void)lint.run({"src", "tests"});
-
-    const auto &regs = lint.statRegs();
-    const auto hasReg = [&](const std::string &pat,
-                            const std::string &kind) {
-        return std::any_of(regs.begin(), regs.end(),
-                           [&](const StatReg &r) {
-                               return r.pattern == pat &&
-                                      r.kind == kind;
-                           });
-    };
-    EXPECT_TRUE(hasReg("app.documented", "counter"));
-    EXPECT_TRUE(hasReg("app.rate", "gauge"));
-
-    const auto &events = lint.eventNames();
-    EXPECT_NE(std::find(events.begin(), events.end(), "known_event"),
-              events.end());
-    EXPECT_NE(std::find(events.begin(), events.end(),
-                        "undocumented_event"),
-              events.end());
-}
-
-TEST(FixtureExtraction, TrailingLiteralBecomesDescription)
-{
-    const SourceFile f = preprocess(
-        "src/x.cc",
-        "void wire(R &reg) {\n"
-        "  reg.addCounter(\"a.b\", &c, \"things counted\");\n"
-        "  reg.addHistogram(\"lat.\" + stage + \".ns\",\n"
-        "                   \"per-span \" + stage + \" time (ns)\");\n"
-        "  reg.addGauge(\"a.c\", g);\n"
-        "}\n");
-    const auto regs = extractStatRegs(f);
-    ASSERT_EQ(regs.size(), 3u);
-    EXPECT_EQ(regs[0].desc, "things counted");
-    EXPECT_EQ(regs[1].pattern, "lat.*.ns");
-    EXPECT_EQ(regs[1].desc, "per-span * time (ns)");
-    EXPECT_EQ(regs[2].desc, "");
-}
-
-TEST(DocTable, KeepsLiveDropsStaleAppendsNew)
-{
-    const std::string doc =
-        "intro\n"
-        "<!-- mct-lint:stat-contract:begin -->\n"
-        "| Path | Kind | Meaning |\n"
-        "|---|---|---|\n"
-        "| `app.kept<i>` | counter | hand-written meaning |\n"
-        "| `app.stale` | gauge | gone from code |\n"
-        "<!-- mct-lint:stat-contract:end -->\n"
-        "middle\n"
-        "<!-- mct-lint:event-contract:begin -->\n"
-        "| Event | Emitted when | Args |\n"
-        "|---|---|---|\n"
-        "| `kept_event` | sometimes | `a` |\n"
-        "| `stale_event` | never | `b` |\n"
-        "<!-- mct-lint:event-contract:end -->\n"
-        "outro\n";
-    std::vector<StatReg> regs;
-    regs.push_back({"app.kept*", "src/a.cc", 1, "counter", ""});
-    regs.push_back({"app.fresh", "src/a.cc", 2, "gauge", "new thing"});
-    const std::vector<std::string> events = {"kept_event",
-                                             "fresh_event"};
-    const std::string out = regenerateDocTables(doc, regs, events);
-
-    // Live rows survive verbatim; prose and headers are untouched.
-    EXPECT_NE(out.find("hand-written meaning"), std::string::npos);
-    EXPECT_NE(out.find("| `kept_event` | sometimes | `a` |"),
-              std::string::npos);
-    EXPECT_NE(out.find("intro\n"), std::string::npos);
-    EXPECT_NE(out.find("| Path | Kind | Meaning |"),
-              std::string::npos);
-    // Stale rows are gone.
-    EXPECT_EQ(out.find("app.stale"), std::string::npos);
-    EXPECT_EQ(out.find("stale_event"), std::string::npos);
-    // New registrations and events are appended with descriptions.
-    EXPECT_NE(out.find("| `app.fresh` | gauge | new thing |"),
-              std::string::npos);
-    EXPECT_NE(out.find("| `fresh_event` | (undocumented)"),
-              std::string::npos);
-    // Idempotent: regenerating the regenerated text changes nothing.
-    EXPECT_EQ(regenerateDocTables(out, regs, events), out);
-}
-
-TEST(FixtureExtraction, DynamicPathsBecomeHoles)
-{
-    const SourceFile f = preprocess(
-        "src/x.cc",
-        "void wire(R &reg) {\n"
-        "  reg.addCounter(prefix + \".injected.\" + toString(kind),\n"
-        "                 &c);\n"
-        "  reg.addGauge(\"a.b\", g);\n"
-        "}\n");
-    const auto regs = extractStatRegs(f);
-    ASSERT_EQ(regs.size(), 2u);
-    EXPECT_EQ(regs[0].pattern, "*.injected.*");
-    EXPECT_EQ(regs[0].kind, "counter");
-    EXPECT_EQ(regs[1].pattern, "a.b");
-    EXPECT_EQ(regs[1].kind, "gauge");
 }
 
 } // namespace

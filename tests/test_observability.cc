@@ -112,13 +112,16 @@ TEST(StatRegistry, RegistrationAndQuery)
     EXPECT_DOUBLE_EQ(reg.value("no.such.stat"), 0.0);
 }
 
-TEST(StatRegistry, ReRegisteringReplacesEntry)
+TEST(StatRegistryDeathTest, ReRegisteringPanics)
 {
+    // Replacing an entry would leave a cell owner's reference dangling,
+    // so a second registration of any kind is a named panic.
     StatRegistry reg;
     reg.addCounter("x", [] { return std::uint64_t(1); });
-    reg.addCounter("x", [] { return std::uint64_t(2); });
-    EXPECT_EQ(reg.size(), 1u);
-    EXPECT_DOUBLE_EQ(reg.value("x"), 2.0);
+    reg.addCounterCell("y");
+    EXPECT_DEATH(reg.addCounter("x", [] { return std::uint64_t(2); }),
+                 "stat 'x' is already registered");
+    EXPECT_DEATH(reg.addHistogram("y"), "stat 'y' is already registered");
 }
 
 TEST(StatRegistry, SnapshotAndDelta)

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/instrument.hh"
 #include "common/manifest.hh"
 #include "report.hh"
 
@@ -469,16 +469,6 @@ TEST(Fleet, GroupsBySeedAndFlagsDispersionOutliers)
     EXPECT_EQ(fleet.outliers, 0u);
 }
 
-TEST(Fleet, DocKeySetsCoverTheEmittedSpellings)
-{
-    EXPECT_NE(std::find(manifestDocKeys().begin(),
-                        manifestDocKeys().end(), "artifacts[].fnv1a"),
-              manifestDocKeys().end());
-    EXPECT_NE(std::find(fleetDocKeys().begin(), fleetDocKeys().end(),
-                        "sim.fleet.runs"),
-              fleetDocKeys().end());
-}
-
 // --------------------------------------------------------------------
 // Thresholds grammar
 // --------------------------------------------------------------------
@@ -528,14 +518,14 @@ TEST(Thresholds, ErrorsCarryLineNumbers)
 
 TEST(Thresholds, GlobMatchesSubstringsNotDots)
 {
-    EXPECT_TRUE(metricGlobMatch("cache.*.hit_rate",
-                                "cache.l1d.hit_rate"));
-    EXPECT_TRUE(metricGlobMatch("sim.objective.ipc",
-                                "sim.objective.ipc"));
-    EXPECT_FALSE(metricGlobMatch("sim.objective.ipc",
-                                 "sim.objective.ipcX"));
-    EXPECT_TRUE(metricGlobMatch("lat.*", "lat.mshr.p99_ns"));
-    EXPECT_FALSE(metricGlobMatch("lat.*", "latency"));
+    EXPECT_TRUE(statGlobMatch("cache.*.hit_rate",
+                              "cache.l1d.hit_rate"));
+    EXPECT_TRUE(statGlobMatch("sim.objective.ipc",
+                              "sim.objective.ipc"));
+    EXPECT_FALSE(statGlobMatch("sim.objective.ipc",
+                               "sim.objective.ipcX"));
+    EXPECT_TRUE(statGlobMatch("lat.*", "lat.mshr.p99_ns"));
+    EXPECT_FALSE(statGlobMatch("lat.*", "latency"));
 }
 
 // --------------------------------------------------------------------

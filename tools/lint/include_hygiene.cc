@@ -44,23 +44,6 @@ namespace mct::lint
 namespace
 {
 
-bool
-hygienePathAllowed(const RuleSpec &rule, const std::string &path)
-{
-    bool scoped = rule.scopes.empty();
-    for (const auto &g : rule.scopes)
-        if (globMatch(g, path)) {
-            scoped = true;
-            break;
-        }
-    if (!scoped)
-        return false;
-    for (const auto &g : rule.allow)
-        if (globMatch(g, path))
-            return false;
-    return true;
-}
-
 /** Identifiers that precede '(' without declaring anything. */
 const std::set<std::string> &
 callKeywords()
@@ -236,7 +219,7 @@ Linter::runIncludeHygiene(const RuleSpec &rule,
 
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
         const SourceFile &f = files[fi];
-        if (!hygienePathAllowed(rule, f.path))
+        if (!inScope(rule, f.path))
             continue;
         const std::string stem = stemOf(f.path);
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * mct_lint engine: rules.txt parsing, source preprocessing, glob
- * matching, and the pattern-rule scanner. The builtin analyses live
- * in contract.cc.
+ * matching, and the pattern-rule scanner. The include-hygiene builtin
+ * lives in include_hygiene.cc.
  */
 
 #include "lint.hh"
@@ -11,8 +11,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <regex>
 #include <sstream>
 
@@ -33,18 +31,6 @@ trim(const std::string &s)
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
     return s.substr(b, e - b);
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, ','))
-        if (!trim(cur).empty())
-            out.push_back(trim(cur));
-    return out;
 }
 
 } // namespace
@@ -94,10 +80,6 @@ parseRules(const std::string &text, RulesFile &out, std::string &error)
             cur->scopes.push_back(val);
         else if (key == "allow")
             cur->allow.push_back(val);
-        else if (key == "names")
-            cur->names = splitCommas(val);
-        else if (key == "docs")
-            cur->docs = val;
         else if (key == "message")
             cur->message = val;
         else {
@@ -269,35 +251,6 @@ globMatch(const std::string &glob, const std::string &path)
     return globMatchImpl(glob.c_str(), path.c_str());
 }
 
-bool
-patternsUnify(const std::string &a, const std::string &b)
-{
-    const std::size_t la = a.size(), lb = b.size();
-    // memo: 0 unknown, 1 true, 2 false
-    std::vector<unsigned char> memo((la + 1) * (lb + 1), 0);
-    const auto idx = [lb](std::size_t i, std::size_t j) {
-        return i * (lb + 1) + j;
-    };
-    const std::function<bool(std::size_t, std::size_t)> go =
-        [&](std::size_t i, std::size_t j) -> bool {
-        unsigned char &m = memo[idx(i, j)];
-        if (m)
-            return m == 1;
-        bool r = false;
-        if (i == la && j == lb)
-            r = true;
-        else if (i < la && a[i] == '*')
-            r = go(i + 1, j) || (j < lb && go(i, j + 1));
-        else if (j < lb && b[j] == '*')
-            r = go(i, j + 1) || (i < la && go(i + 1, j));
-        else if (i < la && j < lb && a[i] == b[j])
-            r = go(i + 1, j + 1);
-        m = r ? 1 : 2;
-        return r;
-    };
-    return go(0, 0);
-}
-
 int
 lineOfOffset(const std::string &text, std::size_t pos)
 {
@@ -313,9 +266,6 @@ Linter::Linter(RulesFile rules, std::string rootDir)
     : rules_(std::move(rules)), root_(std::move(rootDir))
 {
 }
-
-namespace
-{
 
 bool
 inScope(const RuleSpec &rule, const std::string &path)
@@ -333,8 +283,6 @@ inScope(const RuleSpec &rule, const std::string &path)
             return false;
     return true;
 }
-
-} // namespace
 
 std::vector<SourceFile>
 Linter::gather(const std::vector<std::string> &roots)
@@ -403,16 +351,8 @@ Linter::run(const std::vector<std::string> &roots)
     for (const auto &rule : rules_.rules) {
         if (!rule.pattern.empty())
             runPatternRule(rule, files, out);
-        else if (rule.builtin == "stat-contract")
-            runStatContract(rule, files, out);
-        else if (rule.builtin == "nonfinite-gauge")
-            runNonfiniteGauge(rule, files, out);
-        else if (rule.builtin == "discarded-result")
-            runDiscardedResult(rule, files, out);
         else if (rule.builtin == "include-hygiene")
             runIncludeHygiene(rule, files, out);
-        else if (rule.builtin == "doc-contract")
-            runDocContract(rule, files, out);
         else
             out.push_back({"rules.txt", 0, rule.id,
                            "unknown builtin '" + rule.builtin + "'"});

@@ -8,21 +8,20 @@
  *    RNGs outside the sanctioned allowlists), because bit-for-bit
  *    reproducible replay is what the fault-injection harness and the
  *    instruction-clocked event trace are built on;
- *  - the instrumentation contract: every stat path registered through
- *    StatRegistry and every EventTrace event type must stay in sync
- *    with docs/observability.md and the JSONL goldens in tests/;
  *  - I/O hygiene: library code under src/ must route diagnostics
  *    through common/logging.hh instead of raw stream writes;
- *  - non-finite safety heuristics for gauge closures feeding the
- *    stat registry.
+ *  - include hygiene: unused and missing direct includes.
+ *
+ * The instrumentation contract is not here: tests/test_contract.cc
+ * checks the live StatRegistry, the event names and the manifest and
+ * fleet writers' keys against docs/observability.md, and the
+ * compiler's -Werror=unused-result enforces [[nodiscard]].
  *
  * Pattern rules are pure data: tools/lint/rules.txt declares the
  * regex, the scope globs, the allowlist, and the message, so new bans
- * do not require recompiling the tool. A small set of named builtin
- * analyses (stat-contract, nonfinite-gauge, discarded-result,
- * include-hygiene, doc-contract) carry the checks that need real
- * parsing; rules.txt still owns their scope, allowlist, and
- * configuration.
+ * do not require recompiling the tool. The one named builtin
+ * analysis, include-hygiene, needs real parsing; rules.txt still owns
+ * its scope and allowlist.
  *
  * Findings print as "file:line: [rule-id] message" and the process
  * exits non-zero when any finding survives, so the lint target gates
@@ -47,11 +46,8 @@ struct RuleSpec
     /** ECMAScript regex matched line-by-line (empty for builtins). */
     std::string pattern;
 
-    /**
-     * Name of a compiled-in analysis ("stat-contract",
-     * "nonfinite-gauge", "discarded-result", "include-hygiene",
-     * "doc-contract"); empty for pattern rules.
-     */
+    /** Name of a compiled-in analysis ("include-hygiene"); empty for
+     *  pattern rules. */
     std::string builtin;
 
     /** Path globs the rule applies to (repo-relative, '**' ok). */
@@ -59,12 +55,6 @@ struct RuleSpec
 
     /** Path globs exempt from the rule. */
     std::vector<std::string> allow;
-
-    /** Function names for the discarded-result builtin. */
-    std::vector<std::string> names;
-
-    /** Documentation file for the stat-contract builtin. */
-    std::string docs;
 
     /** Human-readable explanation printed with findings. */
     std::string message;
@@ -89,8 +79,6 @@ struct RulesFile
  *       builtin  <name>
  *       scope    <glob>        (repeatable)
  *       allow    <glob>        (repeatable)
- *       names    <a,b,c>
- *       docs     <path>
  *       message  <text to end of line>
  *
  * On error returns false and sets @p error to "line N: why".
@@ -136,51 +124,8 @@ SourceFile preprocess(std::string path, std::string content);
 /** fnmatch-lite: '**' crosses directories, '*' stays within one. */
 bool globMatch(const std::string &glob, const std::string &path);
 
-/**
- * True when glob patterns @p a and @p b can describe the same
- * string ('*' matches any run of characters on either side). Used to
- * unify registered stat-path patterns against documented ones.
- */
-bool patternsUnify(const std::string &a, const std::string &b);
-
-/** A stat registration extracted from source. */
-struct StatReg
-{
-    std::string pattern; ///< literal path or pattern with '*' holes
-    std::string file;
-    int line = 0;
-    std::string kind; ///< "counter" | "gauge" | "histogram"
-
-    /** Trailing string-literal description argument, rendered like
-     *  pattern ('*' holes for non-literal pieces); may be empty. */
-    std::string desc;
-};
-
-/** Extract StatRegistry registrations from one file. */
-std::vector<StatReg> extractStatRegs(const SourceFile &src);
-
-/** Extract TraceEventType names ("phase_change", ...) from a file
- *  containing the toString(TraceEventType) switch. */
-std::vector<std::string> extractEventNames(const SourceFile &src);
-
-/**
- * Regenerate the marker-delimited contract tables of a documentation
- * file (--emit-doc-table). Inside the `mct-lint:stat-contract` and
- * `mct-lint:event-contract` sections:
- *
- *  - rows whose backticked name still unifies with a registration
- *    (resp. names an existing event) are kept verbatim, preserving
- *    hand-written placeholders and meanings;
- *  - stale rows are dropped;
- *  - registrations and events matched by no surviving row are
- *    appended as generated rows (stat rows use the extracted pattern
- *    and description; '*' holes read as "any segment").
- *
- * Text outside the marker sections is returned untouched.
- */
-std::string regenerateDocTables(const std::string &docText,
-                                const std::vector<StatReg> &stats,
-                                const std::vector<std::string> &events);
+/** True when @p path is in @p rule's scope and not allowlisted. */
+bool inScope(const RuleSpec &rule, const std::string &path);
 
 /**
  * The linter. Owns the rule set; run() scans a repo-style tree.
@@ -197,41 +142,18 @@ class Linter
      */
     std::vector<Finding> run(const std::vector<std::string> &roots);
 
-    /** Registrations found by the last run's stat-contract pass. */
-    const std::vector<StatReg> &statRegs() const { return stats_; }
-
-    /** Event names found by the last run's stat-contract pass. */
-    const std::vector<std::string> &eventNames() const
-    {
-        return events_;
-    }
-
   private:
     RulesFile rules_;
     std::string root_;
-    std::vector<StatReg> stats_;
-    std::vector<std::string> events_;
 
     std::vector<SourceFile> gather(const std::vector<std::string> &roots);
 
     void runPatternRule(const RuleSpec &rule,
                         const std::vector<SourceFile> &files,
                         std::vector<Finding> &out) const;
-    void runStatContract(const RuleSpec &rule,
-                         const std::vector<SourceFile> &files,
-                         std::vector<Finding> &out);
-    void runNonfiniteGauge(const RuleSpec &rule,
-                           const std::vector<SourceFile> &files,
-                           std::vector<Finding> &out) const;
-    void runDiscardedResult(const RuleSpec &rule,
-                            const std::vector<SourceFile> &files,
-                            std::vector<Finding> &out) const;
     void runIncludeHygiene(const RuleSpec &rule,
                            const std::vector<SourceFile> &files,
                            std::vector<Finding> &out) const;
-    void runDocContract(const RuleSpec &rule,
-                        const std::vector<SourceFile> &files,
-                        std::vector<Finding> &out) const;
 };
 
 /** Line number (1-based) of byte offset @p pos in @p text. */

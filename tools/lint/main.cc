@@ -2,8 +2,7 @@
  * @file
  * mct_lint command-line driver.
  *
- *     mct_lint [--root DIR] [--rules FILE] [--dump]
- *              [--format=plain|github] [--emit-doc-table]
+ *     mct_lint [--root DIR] [--rules FILE] [--format=plain|github]
  *              [--no-include-hygiene] [ROOT...]
  *
  * Scans ROOT... directories (default: src bench tests tools) under
@@ -19,21 +18,9 @@
  * --no-include-hygiene drops every include-hygiene rule before the
  * run — the escape hatch for trees where the heuristic misfires
  * (generated code, umbrella headers) without editing rules.txt.
- *
- * --dump prints the extracted instrumentation contract (stat path
- * patterns and event type names) instead of linting; it is the
- * source of truth for the tables in docs/observability.md.
- *
- * --emit-doc-table rewrites the marker-delimited contract tables in
- * the stat-contract rule's docs file in place from that extraction:
- * rows still backed by code are kept verbatim (hand-written
- * placeholders and meanings survive), stale rows are dropped, and
- * new registrations / event types are appended as generated rows to
- * be hand-polished.
  */
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -50,9 +37,8 @@ int
 usage()
 {
     std::cerr
-        << "usage: mct_lint [--root DIR] [--rules FILE] [--dump] "
-           "[--format=plain|github] [--emit-doc-table] "
-           "[--no-include-hygiene] [ROOT...]\n";
+        << "usage: mct_lint [--root DIR] [--rules FILE] "
+           "[--format=plain|github] [--no-include-hygiene] [ROOT...]\n";
     return 2;
 }
 
@@ -82,8 +68,6 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string rulesPath;
-    bool dump = false;
-    bool emitDocTable = false;
     bool noIncludeHygiene = false;
     bool githubFormat = false;
     std::vector<std::string> roots;
@@ -93,14 +77,10 @@ main(int argc, char **argv)
             root = argv[++i];
         else if (arg == "--rules" && i + 1 < argc)
             rulesPath = argv[++i];
-        else if (arg == "--dump")
-            dump = true;
         else if (arg == "--format=github")
             githubFormat = true;
         else if (arg == "--format=plain")
             githubFormat = false;
-        else if (arg == "--emit-doc-table")
-            emitDocTable = true;
         else if (arg == "--no-include-hygiene")
             noIncludeHygiene = true;
         else if (arg == "--help" || arg == "-h")
@@ -142,53 +122,8 @@ main(int argc, char **argv)
                            }),
             rules.rules.end());
 
-    std::string docsRel = "docs/observability.md";
-    for (const auto &r : rules.rules)
-        if (r.builtin == "stat-contract" && !r.docs.empty())
-            docsRel = r.docs;
-
     mct::lint::Linter linter(std::move(rules), root);
     const auto findings = linter.run(roots);
-
-    if (emitDocTable) {
-        const auto docsPath = std::filesystem::path(root) / docsRel;
-        std::ifstream din(docsPath, std::ios::binary);
-        if (!din) {
-            std::cerr << "mct_lint: cannot read " << docsPath.string()
-                      << "\n";
-            return 2;
-        }
-        std::ostringstream dbuf;
-        dbuf << din.rdbuf();
-        din.close();
-        const std::string updated = mct::lint::regenerateDocTables(
-            dbuf.str(), linter.statRegs(), linter.eventNames());
-        if (updated == dbuf.str()) {
-            std::cout << "mct_lint: " << docsRel << " is up to date\n";
-            return 0;
-        }
-        std::ofstream dout(docsPath, std::ios::binary);
-        if (!dout) {
-            std::cerr << "mct_lint: cannot write " << docsPath.string()
-                      << "\n";
-            return 2;
-        }
-        dout << updated;
-        std::cout << "mct_lint: regenerated contract tables in "
-                  << docsRel << "\n";
-        return 0;
-    }
-
-    if (dump) {
-        std::cout << "# stat registrations (pattern  kind  site)\n";
-        for (const auto &reg : linter.statRegs())
-            std::cout << reg.pattern << "\t" << reg.kind << "\t"
-                      << reg.file << ":" << reg.line << "\n";
-        std::cout << "# event types\n";
-        for (const auto &name : linter.eventNames())
-            std::cout << name << "\n";
-        return 0;
-    }
 
     for (const auto &f : findings) {
         if (githubFormat)

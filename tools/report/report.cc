@@ -670,41 +670,6 @@ uniformOr(std::string acc, const std::string &v, bool first)
     return acc == v ? acc : std::string("mixed");
 }
 
-// Key contract of the mct-fleet-v1 document (doc-contract lint +
-// tests; the writer below emits exactly these spellings, with <hole>
-// standing for the merged metric names).
-// mct-lint:doc-keys:begin
-const char *const kFleetKeys[] = {
-    "schema",
-    "mode",
-    "app",
-    "config",
-    "group_by",
-    "runs",
-    "final",
-    "kinds",
-    "groups",
-    "groups[].key",
-    "groups[].runs",
-    "groups[].run_ids",
-    "groups[].final",
-    "groups[].outliers",
-    "groups[].outliers[].run_id",
-    "groups[].outliers[].metric",
-    "groups[].outliers[].value",
-    "groups[].outliers[].mean",
-    "groups[].outliers[].stddev",
-    "fleet.<metric>.count",
-    "fleet.<metric>.mean",
-    "fleet.<metric>.min",
-    "fleet.<metric>.max",
-    "fleet.<metric>.stddev",
-    "sim.fleet.runs",
-    "sim.fleet.groups",
-    "sim.fleet.outliers",
-};
-// mct-lint:doc-keys:end
-
 /** The flat "final" snapshot of a merge: original names plus the
  *  fleet.* dispersion cells and sim.fleet.* summary scalars. */
 StatSnapshot
@@ -914,14 +879,6 @@ renderFleet(std::ostream &os, const FleetReport &r)
                << ": " << o.value << " vs mean " << o.mean
                << " (stddev " << o.stddev << ")\n";
     }
-}
-
-const std::vector<std::string> &
-fleetDocKeys()
-{
-    static const std::vector<std::string> keys(std::begin(kFleetKeys),
-                                               std::end(kFleetKeys));
-    return keys;
 }
 
 // --------------------------------------------------------------------
@@ -1363,32 +1320,6 @@ metric sim.fleet.outliers
 )";
 }
 
-bool
-metricGlobMatch(const std::string &glob, const std::string &name)
-{
-    // Iterative '*' glob with backtracking; '*' may cross dots.
-    std::size_t g = 0, n = 0;
-    std::size_t star = std::string::npos, mark = 0;
-    while (n < name.size()) {
-        if (g < glob.size() &&
-            (glob[g] == name[n])) {
-            ++g;
-            ++n;
-        } else if (g < glob.size() && glob[g] == '*') {
-            star = g++;
-            mark = n;
-        } else if (star != std::string::npos) {
-            g = star + 1;
-            n = ++mark;
-        } else {
-            return false;
-        }
-    }
-    while (g < glob.size() && glob[g] == '*')
-        ++g;
-    return g == glob.size();
-}
-
 namespace
 {
 
@@ -1523,7 +1454,7 @@ diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
     for (const auto &[metric, curVal] : cur.finalScalars) {
         const ThresholdRule *rule = nullptr;
         for (const ThresholdRule &r : th.rules) {
-            if (metricGlobMatch(r.metricGlob, metric)) {
+            if (statGlobMatch(r.metricGlob, metric)) {
                 rule = &r;
                 break; // first matching rule wins
             }

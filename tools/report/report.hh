@@ -267,9 +267,6 @@ void writeFleetDoc(std::ostream &os, const FleetReport &r);
  *  and any outlier flags. */
 void renderFleet(std::ostream &os, const FleetReport &r);
 
-/** Declared key set of mct-fleet-v1 (doc-contract lint + tests). */
-const std::vector<std::string> &fleetDocKeys();
-
 // --------------------------------------------------------------------
 // Timeline (mct-timeline-v1) + alert log (alerts.jsonl)
 // --------------------------------------------------------------------
@@ -487,9 +484,6 @@ struct Thresholds
 
 /** Built-in default gates used when no --thresholds file is given. */
 const char *defaultThresholdsText();
-
-/** '*'-glob match ('*' crosses every character, '.' is literal). */
-bool metricGlobMatch(const std::string &glob, const std::string &name);
 
 // --------------------------------------------------------------------
 // Diff
