@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -42,30 +43,39 @@ LogHistogram::bucketLow(std::size_t i)
 double
 LogHistogram::percentile(double p) const
 {
-    if (n == 0)
+    return logHistogramPercentile(buckets_, n, p);
+}
+
+double
+logHistogramPercentile(std::span<const std::uint64_t> buckets,
+                       std::uint64_t count, double p)
+{
+    constexpr std::size_t top = LogHistogram::numBuckets;
+    if (count == 0)
         return 0.0;
     p = std::clamp(p, 0.0, 1.0);
-    // Target rank in (0, n]; rank r falls in the bucket holding the
-    // r-th smallest observation, placed uniformly within its bounds.
-    const double target = p * static_cast<double>(n);
+    // Target rank in (0, count]; rank r falls in the bucket holding
+    // the r-th smallest observation, placed uniformly within its
+    // bounds.
+    const double target = p * static_cast<double>(count);
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets; ++i) {
-        if (buckets_[i] == 0)
+    for (std::size_t i = 0; i < buckets.size() && i < top; ++i) {
+        if (buckets[i] == 0)
             continue;
-        cum += buckets_[i];
+        cum += buckets[i];
         if (static_cast<double>(cum) >= target) {
-            const double lo = bucketLow(i);
+            const double lo = LogHistogram::bucketLow(i);
             const double hi =
-                i + 1 < numBuckets ? bucketLow(i + 1) : lo * 2.0;
+                i + 1 < top ? LogHistogram::bucketLow(i + 1) : lo * 2.0;
             const double into =
-                target - static_cast<double>(cum - buckets_[i]);
+                target - static_cast<double>(cum - buckets[i]);
             const double frac = std::clamp(
-                into / static_cast<double>(buckets_[i]), 0.0, 1.0);
+                into / static_cast<double>(buckets[i]), 0.0, 1.0);
             return lo + (hi - lo) * frac;
         }
     }
     // Unreachable when counts are consistent; fall back to the top.
-    return bucketLow(numBuckets - 1) * 2.0;
+    return LogHistogram::bucketLow(top - 1) * 2.0;
 }
 
 void
@@ -277,6 +287,40 @@ writeSnapshot(JsonWriter &w, const StatSnapshot &snap)
         }
     }
     w.endObject();
+}
+
+void
+writeStatsText(std::ostream &os, const StatRegistry &reg)
+{
+    const auto text = [](const StatValue &v) {
+        std::ostringstream s; // six significant digits by default
+        if (v.kind == StatKind::Counter)
+            s << std::fixed << std::setprecision(0) << v.num;
+        else if (v.kind == StatKind::Gauge)
+            s << v.num;
+        else
+            s << "n=" << v.count << " mean="
+              << (v.count ? v.num / static_cast<double>(v.count) : 0.0);
+        return s.str();
+    };
+    const StatSnapshot snap = reg.snapshot();
+    std::vector<std::string> values;
+    std::size_t pathW = 0, valueW = 0;
+    for (const auto &[path, v] : snap) {
+        values.push_back(text(v));
+        pathW = std::max(pathW, path.size());
+        valueW = std::max(valueW, values.back().size());
+    }
+    std::size_t i = 0;
+    for (const auto &[path, v] : snap) {
+        os << std::left << std::setw(static_cast<int>(pathW) + 2) << path
+           << std::right << std::setw(static_cast<int>(valueW))
+           << values[i++];
+        const std::string desc = reg.description(path);
+        if (!desc.empty())
+            os << "  # " << desc;
+        os << '\n';
+    }
 }
 
 namespace

@@ -48,6 +48,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,14 +100,7 @@ class LogHistogram
     /** Inclusive lower bound of bucket @p i. */
     static double bucketLow(std::size_t i);
 
-    /**
-     * Value at quantile @p p in [0, 1], assuming observations are
-     * uniformly distributed within each bucket: the target rank
-     * p * count() is located in its bucket and linearly interpolated
-     * between the bucket's bounds. Exact for distributions that fill
-     * buckets uniformly; within one bucket width otherwise. Returns 0
-     * when empty.
-     */
+    /** logHistogramPercentile() over this histogram's buckets. */
     double percentile(double p) const;
 
     /** Forget everything. */
@@ -121,6 +115,19 @@ class LogHistogram
     std::uint64_t n = 0;
     double total = 0.0;
 };
+
+/**
+ * Value at quantile @p p in [0, 1] of @p count observations held in
+ * the dense LogHistogram buckets @p buckets (bucket i covers
+ * [bucketLow(i), bucketLow(i + 1))), assuming observations are
+ * uniformly distributed within each bucket: the target rank
+ * p * count is located in its bucket and linearly interpolated
+ * between the bucket's bounds. Exact for distributions that fill
+ * buckets uniformly; within one bucket width otherwise. Returns 0
+ * when @p count is 0.
+ */
+double logHistogramPercentile(std::span<const std::uint64_t> buckets,
+                              std::uint64_t count, double p);
 
 /** One stat's value as captured by a snapshot. */
 struct StatValue
@@ -281,6 +288,15 @@ void writeSnapshotJson(std::ostream &os, const StatSnapshot &snap);
 /** Same, emitted through an in-progress JsonWriter (for embedding
  *  snapshots inside a larger document). */
 void writeSnapshot(JsonWriter &w, const StatSnapshot &snap);
+
+/**
+ * Print the Sim-scope stats of @p reg as aligned text, one row per
+ * path: the path left-justified, the value right-justified (counters
+ * as integers, gauges to six significant digits, histograms as
+ * "n=COUNT mean=MEAN"), then "  # description" when one was
+ * registered.
+ */
+void writeStatsText(std::ostream &os, const StatRegistry &reg);
 
 /**
  * Fixed-capacity ring of records with dropped-record accounting: the

@@ -161,22 +161,22 @@ MctController::registerStats()
     }
     // Literal rolling-error paths so thresholds.txt can gate them.
     reg.addGauge("mct.audit.err.ipc.p50", [this] {
-        return errHist_[0]->percentile(50.0) / 1e4;
+        return errHist_[0]->percentile(0.50) / 1e4;
     });
     reg.addGauge("mct.audit.err.ipc.p90", [this] {
-        return errHist_[0]->percentile(90.0) / 1e4;
+        return errHist_[0]->percentile(0.90) / 1e4;
     });
     reg.addGauge("mct.audit.err.lifetime.p50", [this] {
-        return errHist_[1]->percentile(50.0) / 1e4;
+        return errHist_[1]->percentile(0.50) / 1e4;
     });
     reg.addGauge("mct.audit.err.lifetime.p90", [this] {
-        return errHist_[1]->percentile(90.0) / 1e4;
+        return errHist_[1]->percentile(0.90) / 1e4;
     });
     reg.addGauge("mct.audit.err.energy.p50", [this] {
-        return errHist_[2]->percentile(50.0) / 1e4;
+        return errHist_[2]->percentile(0.50) / 1e4;
     });
     reg.addGauge("mct.audit.err.energy.p90", [this] {
-        return errHist_[2]->percentile(90.0) / 1e4;
+        return errHist_[2]->percentile(0.90) / 1e4;
     });
 }
 

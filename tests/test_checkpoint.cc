@@ -36,19 +36,37 @@ namespace mct
 namespace
 {
 
-/** Fresh per-test path inside the gtest temp dir. */
-std::string
-tmpPath(const std::string &name)
+/**
+ * A fresh per-test path inside the gtest temp dir. The path and the
+ * files a checkpoint store derives from it (slots and quarantined
+ * slots) are removed when it is made and again when it goes out of
+ * scope, so no test leaves a file behind.
+ */
+class TmpPath
 {
-    const std::string p = std::string(::testing::TempDir()) +
-                          "mct_ckpt_" + name;
-    std::remove(p.c_str());
-    std::remove((p + ".0").c_str());
-    std::remove((p + ".1").c_str());
-    std::remove((p + ".0.corrupt").c_str());
-    std::remove((p + ".1.corrupt").c_str());
-    return p;
-}
+  public:
+    explicit TmpPath(const std::string &name)
+        : path_(std::string(::testing::TempDir()) + "mct_ckpt_" + name)
+    {
+        clear();
+    }
+    ~TmpPath() { clear(); }
+    TmpPath(const TmpPath &) = delete;
+    TmpPath &operator=(const TmpPath &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    void
+    clear() const
+    {
+        for (const char *suffix :
+             {"", ".0", ".1", ".0.corrupt", ".1.corrupt"})
+            std::remove((path_ + suffix).c_str());
+    }
+
+    std::string path_;
+};
 
 std::string
 slurp(const std::string &path)
@@ -137,7 +155,8 @@ TEST(SerializeCodec, HostileCountFailsWithoutAllocating)
 
 TEST(AtomicFileTest, CommitPublishesContent)
 {
-    const std::string path = tmpPath("atomic.txt");
+    const TmpPath tmp("atomic.txt");
+    const std::string &path = tmp.path();
     AtomicFile f(path);
     f.stream() << "line one\n";
     ASSERT_TRUE(f.commit());
@@ -147,7 +166,8 @@ TEST(AtomicFileTest, CommitPublishesContent)
 
 TEST(AtomicFileTest, NoCommitLeavesTargetUntouched)
 {
-    const std::string path = tmpPath("atomic_keep.txt");
+    const TmpPath tmp("atomic_keep.txt");
+    const std::string &path = tmp.path();
     ASSERT_TRUE(writeFileAtomic(path, "original"));
     {
         AtomicFile f(path);
@@ -158,7 +178,8 @@ TEST(AtomicFileTest, NoCommitLeavesTargetUntouched)
 
 TEST(CheckpointStoreTest, SaveLoadRoundTrip)
 {
-    CheckpointStore store(tmpPath("rt"));
+    const TmpPath tmp("rt");
+    CheckpointStore store(tmp.path());
     ASSERT_TRUE(store.save("fp-1", "payload-bytes"));
     const CheckpointLoadResult r = store.load();
     ASSERT_TRUE(r.ok) << r.error;
@@ -171,7 +192,8 @@ TEST(CheckpointStoreTest, SaveLoadRoundTrip)
 
 TEST(CheckpointStoreTest, DoubleBufferKeepsPreviousSlot)
 {
-    const std::string base = tmpPath("db");
+    const TmpPath tmp("db");
+    const std::string &base = tmp.path();
     CheckpointStore store(base);
     ASSERT_TRUE(store.save("fp", "first"));
     ASSERT_TRUE(store.save("fp", "second"));
@@ -188,7 +210,8 @@ TEST(CheckpointStoreTest, DoubleBufferKeepsPreviousSlot)
 
 TEST(CheckpointStoreTest, SequenceContinuesAcrossRestart)
 {
-    const std::string base = tmpPath("seq");
+    const TmpPath tmp("seq");
+    const std::string &base = tmp.path();
     {
         CheckpointStore store(base);
         ASSERT_TRUE(store.save("fp", "one"));
@@ -206,7 +229,8 @@ TEST(CheckpointStoreTest, SequenceContinuesAcrossRestart)
 
 TEST(CheckpointStoreTest, TruncatedSlotQuarantinedWithFallback)
 {
-    const std::string base = tmpPath("trunc");
+    const TmpPath tmp("trunc");
+    const std::string &base = tmp.path();
     CheckpointStore store(base);
     ASSERT_TRUE(store.save("fp", "good-old"));
     ASSERT_TRUE(store.save("fp", "newest"));
@@ -229,7 +253,8 @@ TEST(CheckpointStoreTest, TruncatedSlotQuarantinedWithFallback)
 
 TEST(CheckpointStoreTest, BitFlipRejectedByChecksum)
 {
-    const std::string base = tmpPath("flip");
+    const TmpPath tmp("flip");
+    const std::string &base = tmp.path();
     CheckpointStore store(base);
     ASSERT_TRUE(store.save("fp", "older"));
     ASSERT_TRUE(store.save("fp", "newer"));
@@ -250,7 +275,8 @@ TEST(CheckpointStoreTest, BitFlipRejectedByChecksum)
 
 TEST(CheckpointStoreTest, FaultInjectorCorruptionIsRejected)
 {
-    const std::string base = tmpPath("inj");
+    const TmpPath tmp("inj");
+    const std::string &base = tmp.path();
     CheckpointStore store(base);
     ASSERT_TRUE(store.save("fp", "older"));
     ASSERT_TRUE(store.save("fp", "newer"));
@@ -288,7 +314,8 @@ writeVersionSkewed(const std::string &file, std::uint32_t version)
 
 TEST(CheckpointStoreTest, FutureFormatVersionRejected)
 {
-    const std::string base = tmpPath("ver");
+    const TmpPath tmp("ver");
+    const std::string &base = tmp.path();
     writeVersionSkewed(base + ".0",
                        checkpointFormatVersion + 1);
     CheckpointStore store(base);
@@ -302,7 +329,8 @@ TEST(CheckpointStoreTest, FutureFormatVersionRejected)
 
 TEST(CheckpointStoreTest, MissingCheckpointReportsError)
 {
-    CheckpointStore store(tmpPath("missing"));
+    const TmpPath tmp("missing");
+    CheckpointStore store(tmp.path());
     const CheckpointLoadResult r = store.load();
     EXPECT_FALSE(r.ok);
     EXPECT_FALSE(r.error.empty());
@@ -311,7 +339,8 @@ TEST(CheckpointStoreTest, MissingCheckpointReportsError)
 
 TEST(CheckpointStoreTest, HostScopedStats)
 {
-    CheckpointStore store(tmpPath("stats"));
+    const TmpPath tmp("stats");
+    CheckpointStore store(tmp.path());
     ASSERT_TRUE(store.save("fp", "x"));
     store.noteResume();
     StatRegistry reg;
@@ -999,7 +1028,8 @@ TEST(ControllerRoundTrip, DriverPayloadThroughStore)
     MctController ctlA(sysA, mp);
     ctlA.runFor(150 * 1000);
 
-    const std::string base = tmpPath("driver");
+    const TmpPath tmp("driver");
+    const std::string &base = tmp.path();
     {
         CheckpointStore store(base);
         ASSERT_TRUE(

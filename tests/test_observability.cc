@@ -3,7 +3,7 @@
  * Tests for the unified instrumentation layer: StatRegistry snapshots
  * and deltas, LogHistogram bucketing, the EventTrace ring buffer and
  * its JSONL / Chrome serializations, System and MctController
- * integration, the HostProfiler, and StatsReport::print alignment.
+ * integration, the HostProfiler, and the aligned text stats dump.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "common/instrument.hh"
 #include "common/serialize.hh"
 #include "mct/controller.hh"
-#include "sim/stats_report.hh"
 #include "sim/system.hh"
 
 namespace mct
@@ -648,6 +647,40 @@ TEST(MctAudit, ProvenanceIsByteIdenticalAcrossRuns)
     EXPECT_EQ(first, second);
 }
 
+TEST(MctAudit, ErrorGaugesAreHistogramPercentiles)
+{
+    SystemParams sp;
+    System sys("lbm", sp, staticBaselineConfig());
+    sys.run(100 * 1000);
+    MctParams mp;
+    MctController ctl(sys, mp);
+    ctl.runFor(3 * 1000 * 1000);
+    ASSERT_GT(ctl.auditClosed(), 0u);
+
+    // mct.audit.err.<objective>.p{50,90} read the 0.50 and 0.90
+    // quantiles of mct.audit.err_bp.<model>.<objective>, in units
+    // rather than basis points.
+    const StatSnapshot snap = sys.statRegistry().snapshot();
+    std::size_t checked = 0;
+    for (const auto &[path, h] : snap) {
+        if (path.rfind("mct.audit.err_bp.", 0) != 0)
+            continue;
+        const std::string obj = path.substr(path.rfind('.') + 1);
+        ASSERT_GT(h.count, 0u) << path;
+        for (const auto &[suffix, p] :
+             {std::pair<const char *, double>{"p50", 0.50}, {"p90", 0.90}}) {
+            const std::string gauge = "mct.audit.err." + obj + "." + suffix;
+            ASSERT_EQ(snap.count(gauge), 1u) << gauge;
+            EXPECT_DOUBLE_EQ(snap.at(gauge).num,
+                             logHistogramPercentile(h.buckets, h.count, p) /
+                                 1e4)
+                << gauge;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 2 * numProvenanceObjectives);
+}
+
 // --------------------------------------------------------------------
 // HostProfiler
 // --------------------------------------------------------------------
@@ -1056,24 +1089,31 @@ TEST(MetricTimeline, TimelineAndAlertStatsAreHostScoped)
 }
 
 // --------------------------------------------------------------------
-// StatsReport::print alignment
+// writeStatsText alignment
 // --------------------------------------------------------------------
 
-TEST(StatsReport, PrintAlignsColumns)
+TEST(StatsText, PrintAlignsColumns)
 {
-    StatsReport r;
-    r.add("cpu.ipc", 1.5);
-    r.add("memctrl.reads", std::uint64_t(42), "completed");
-    r.add("x", std::uint64_t(123456));
-    ASSERT_EQ(r.size(), 3u);
+    StatRegistry reg;
+    reg.addGauge("cpu.ipc", [] { return 1.5; });
+    reg.addCounter("memctrl.reads", [] { return std::uint64_t{42}; },
+                   "completed");
+    reg.addCounter("x", [] { return std::uint64_t{123456}; });
+    LogHistogram &h = reg.addHistogram("lat.ns", "span time");
+    h.record(2.0);
+    h.record(4.0);
+    reg.addGauge("sim.mips", [] { return 9.0; });
+    reg.markHost("sim.mips");
 
     std::ostringstream os;
-    r.print(os);
-    // Paths left-justify to the longest path plus two; values
-    // right-justify to the widest value; annotations follow "  # ".
-    EXPECT_EQ(os.str(), "cpu.ipc           1.5\n"
-                        "memctrl.reads      42  # completed\n"
-                        "x              123456\n");
+    writeStatsText(os, reg);
+    // Sorted Sim-scope paths left-justify to the longest path plus
+    // two; values right-justify to the widest value; descriptions
+    // follow "  # ". Host-scoped stats stay out.
+    EXPECT_EQ(os.str(), "cpu.ipc               1.5\n"
+                        "lat.ns         n=2 mean=3  # span time\n"
+                        "memctrl.reads          42  # completed\n"
+                        "x                  123456\n");
 }
 
 } // namespace

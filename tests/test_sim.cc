@@ -7,12 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include <sstream>
 
+#include "common/instrument.hh"
 #include "sim/multicore.hh"
-#include "sim/stats_report.hh"
 #include "sim/sweep_cache.hh"
 #include "workloads/mixes.hh"
 
@@ -280,25 +281,30 @@ INSTANTIATE_TEST_SUITE_P(
                       "bwaves", "libquantum", "ocean", "gups",
                       "stream"));
 
-TEST(StatsReport, CollectsCoherentCounters)
+TEST(StatsText, PrintsEverySimStatOfARun)
 {
     SystemParams sp;
     System sys("milc", sp, staticBaselineConfig());
     sys.run(300000);
-    const StatsReport rep = collectStats(sys);
-    EXPECT_GT(rep.size(), 40u); // core + caches + ctrl + banks
     std::ostringstream os;
-    rep.print(os);
+    writeStatsText(os, sys.statRegistry());
     const std::string out = os.str();
-    EXPECT_NE(out.find("core.ipc"), std::string::npos);
+    // One row per Sim-scope path: core + caches + ctrl + banks.
+    const auto rows =
+        static_cast<std::size_t>(std::count(out.begin(), out.end(), '\n'));
+    EXPECT_EQ(rows, sys.statRegistry().snapshot().size());
+    EXPECT_GT(rows, 40u);
+    EXPECT_NE(out.find("cpu.core0.ipc"), std::string::npos);
     EXPECT_NE(out.find("memctrl.writes_completed"),
               std::string::npos);
     EXPECT_NE(out.find("nvm.bank00.wear"), std::string::npos);
-    EXPECT_NE(out.find("objective.lifetime_years"),
+    EXPECT_NE(out.find("sim.objective.lifetime_years"),
+              std::string::npos);
+    EXPECT_NE(out.find("  # fast-write-equivalent line writes, all banks"),
               std::string::npos);
 }
 
-TEST(StatsReport, BankCountersSumToControllerTotals)
+TEST(SystemStats, BankCountersSumToControllerTotals)
 {
     SystemParams sp;
     System sys("bwaves", sp, defaultConfig());

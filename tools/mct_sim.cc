@@ -11,7 +11,9 @@
  *   mct_sim trace --app lbm --ops 100000 --out lbm.trace
  *                                                   capture a trace
  *   mct_sim eval --trace lbm.trace [config flags]   replay a trace
- *   mct_sim eval --app lbm --stats                  full stats dump
+ *   mct_sim eval --app lbm --stats                  also print every
+ *                                                   registry stat with
+ *                                                   its description
  *   mct_sim list                                    applications & mixes
  *
  * Config flags for eval:
@@ -115,7 +117,7 @@
  * Malformed numeric flag values are fatal errors naming the flag,
  * never silent zeros: an integer flag takes a whole non-negative
  * value its target can hold. A malformed --faults plan prints the
- * parse error and exits 2.
+ * parse error and exits 2, and so does a flag the mode does not read.
  */
 
 #include <algorithm>
@@ -130,6 +132,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -158,7 +161,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/evaluator.hh"
 #include "sim/fault_injector.hh"
-#include "sim/stats_report.hh"
 #include "sim/sweep_cache.hh"
 #include "sim/system.hh"
 #include "workloads/mixes.hh"
@@ -236,12 +238,58 @@ struct Args
     }
 };
 
+/**
+ * The flags @p mode reads: its own and those of the shared helpers it
+ * calls (configFromArgs, evalFromArgs, telemetryFromArgs,
+ * faultsFromArgs, ckptFromArgs). Null for an unknown mode.
+ */
+const std::set<std::string> *
+modeFlags(const std::string &mode)
+{
+    using Flags = std::set<std::string>;
+    static const std::map<std::string, Flags> table = [] {
+        const Flags config{"fast",  "slow",      "bank",
+                           "eager", "quota",     "cancel",
+                           "pause", "retention", "fastreads"};
+        const Flags run{"warmup", "measure", "seed", "startgap"};
+        const Flags telemetry{
+            "stats-json",     "stats-every",      "trace-out",
+            "trace-chrome",   "trace-cap",        "spans-out",
+            "spans-chrome",   "span-sample",      "span-cap",
+            "provenance-out", "provenance-chrome", "provenance-cap",
+            "audit-every",    "host-profile-out", "host-profile-chrome",
+            "timeline-out",   "timeline-metrics", "timeline-cap",
+            "alerts",         "alerts-out",       "manifest-out"};
+        const Flags faults{"faults", "fault-seed"};
+        const Flags ckpt{"ckpt-out", "ckpt-every", "resume"};
+        const auto join = [](std::initializer_list<Flags> groups) {
+            Flags out;
+            for (const Flags &g : groups)
+                out.insert(g.begin(), g.end());
+            return out;
+        };
+        return std::map<std::string, Flags>{
+            {"eval", join({config, run, telemetry, faults, ckpt,
+                           {"app", "trace", "mlp", "stats"}})},
+            {"mct", join({run, telemetry, faults, ckpt,
+                          {"app", "insts", "target", "model"}})},
+            {"sweep", join({run, faults,
+                            {"app", "space", "csv", "manifest-out"}})},
+            {"trace", {"app", "ops", "seed", "out", "manifest-out"}},
+            {"list", {}},
+        };
+    }();
+    const auto it = table.find(mode);
+    return it == table.end() ? nullptr : &it->second;
+}
+
 Args
 parse(int argc, char **argv)
 {
     Args args;
     if (argc > 1)
         args.mode = argv[1];
+    const std::set<std::string> *known = modeFlags(args.mode);
     for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
         if (a.rfind("--", 0) != 0) {
@@ -250,6 +298,12 @@ parse(int argc, char **argv)
             std::exit(2);
         }
         a = a.substr(2);
+        // A flag the mode never reads would be silently ignored.
+        if (known && known->count(a) == 0) {
+            std::fprintf(stderr, "unknown flag '--%s' for mct_sim %s\n",
+                         a.c_str(), args.mode.c_str());
+            std::exit(2);
+        }
         if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
             args.kv[a] = argv[++i];
         else
@@ -1167,9 +1221,8 @@ cmdEval(const Args &args)
     const MellowConfig cfg = configFromArgs(args);
     const EvalParams ep = evalFromArgs(args);
     const CkptArgs ck = ckptFromArgs(args);
-    if (ck.armed() && (args.has("trace") || args.has("stats")))
-        mct_fatal("--ckpt-out is not supported with --trace replay "
-                  "or --stats");
+    if (ck.armed() && args.has("trace"))
+        mct_fatal("--ckpt-out is not supported with --trace replay");
 
     // --trace FILE replays a recorded trace instead of a model.
     if (args.has("trace")) {
@@ -1194,73 +1247,60 @@ cmdEval(const Args &args)
     }
     std::printf("app            %s\n", app.c_str());
     std::printf("config         %s\n", toString(cfg).c_str());
-    if (args.has("stats")) {
-        // Full gem5-style statistics dump instead of the summary.
-        SystemParams sp = ep.sys;
-        System sys(app, sp, cfg);
-        sys.run(ep.warmupInsts + ep.measureInsts);
-        dumpStats(sys, std::cout);
-        return 0;
-    }
     const Telemetry tel = telemetryFromArgs(args);
     const FaultArgs faults = faultsFromArgs(args);
-    if (tel.any() || faults.any() || ck.armed()) {
-        // Faults need a live System to inject into, so a fault plan
-        // (or an armed checkpoint schedule) forces the instrumented
-        // path even without telemetry flags.
-        SystemParams sp = ep.sys;
-        System sys(app, sp, cfg);
-        FaultInjector inj(faults.plan, faults.seed);
-        if (faults.any())
-            sys.attachFaultInjector(&inj);
-        if (tel.wantsTrace())
-            sys.eventTrace().enable(tel.traceCap);
-        if (tel.wantsSpans())
-            sys.enableSpans(tel.spanSample, tel.spanCap);
-        if (tel.wantsTimeline())
-            sys.enableTimeline(tel.timelineGlobs, tel.timelineCap);
-        if (tel.wantsAlerts())
-            sys.enableAlerts(tel.alertRules);
-        HostProfiler hostProf;
-        if (tel.wantsHost()) {
-            hostProf.enable();
-            sys.attachHostProfiler(&hostProf);
-        }
-        const auto step = [&](InstCount n) {
-            if (faults.any())
-                runChunked(sys, n);
-            else
-                sys.run(n);
-        };
-        const RunIdentity rid{
-            ep.sys.seed, args.get("faults", ""),
-            runFingerprint("eval", app, configKey(cfg), ep,
-                           ep.measureInsts, tel, args, ck.every)};
-        DriverState ds;
-        CkptSession sess(ck, rid.fingerprint, sys, ds);
-        if (faults.any())
-            sess.attachInjector(&inj);
-        if (ck.resume)
-            restoreFromCheckpoint(sess, sys, ds,
-                                  faults.any() ? &inj : nullptr, nullptr);
-        if (!ds.warmupDone) {
-            if (!runArmedTo(sys, ep.warmupInsts, sess, step))
-                return preempted(sess, sys);
-            ds.startMeasure(sys);
-        }
-        if (!runMeasureArmed(sys, ds.s0.instructions + ep.measureInsts,
-                             tel, sess, ds, step))
-            return preempted(sess, sys);
-        printMetrics(sys.metricsSince(ds.s0));
-        if (faults.any())
-            printFaultSummary(inj, nullptr);
-        if (sess.store())
-            printCkptSummary(*sess.store());
-        return finishTelemetry(tel, "eval", app, sys, nullptr,
-                               ds.periodic, rid);
+    SystemParams sp = ep.sys;
+    System sys(app, sp, cfg);
+    FaultInjector inj(faults.plan, faults.seed);
+    if (faults.any())
+        sys.attachFaultInjector(&inj);
+    if (tel.wantsTrace())
+        sys.eventTrace().enable(tel.traceCap);
+    if (tel.wantsSpans())
+        sys.enableSpans(tel.spanSample, tel.spanCap);
+    if (tel.wantsTimeline())
+        sys.enableTimeline(tel.timelineGlobs, tel.timelineCap);
+    if (tel.wantsAlerts())
+        sys.enableAlerts(tel.alertRules);
+    HostProfiler hostProf;
+    if (tel.wantsHost()) {
+        hostProf.enable();
+        sys.attachHostProfiler(&hostProf);
     }
-    printMetrics(evaluateConfig(app, cfg, ep));
-    return 0;
+    const auto step = [&](InstCount n) {
+        if (faults.any())
+            runChunked(sys, n);
+        else
+            sys.run(n);
+    };
+    const RunIdentity rid{
+        ep.sys.seed, args.get("faults", ""),
+        runFingerprint("eval", app, configKey(cfg), ep, ep.measureInsts,
+                       tel, args, ck.every)};
+    DriverState ds;
+    CkptSession sess(ck, rid.fingerprint, sys, ds);
+    if (faults.any())
+        sess.attachInjector(&inj);
+    if (ck.resume)
+        restoreFromCheckpoint(sess, sys, ds, faults.any() ? &inj : nullptr,
+                              nullptr);
+    if (!ds.warmupDone) {
+        if (!runArmedTo(sys, ep.warmupInsts, sess, step))
+            return preempted(sess, sys);
+        ds.startMeasure(sys);
+    }
+    if (!runMeasureArmed(sys, ds.s0.instructions + ep.measureInsts, tel,
+                         sess, ds, step))
+        return preempted(sess, sys);
+    printMetrics(sys.metricsSince(ds.s0));
+    if (args.has("stats"))
+        writeStatsText(std::cout, sys.statRegistry());
+    if (faults.any())
+        printFaultSummary(inj, nullptr);
+    if (sess.store())
+        printCkptSummary(*sess.store());
+    return finishTelemetry(tel, "eval", app, sys, nullptr, ds.periodic,
+                           rid);
 }
 
 int

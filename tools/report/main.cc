@@ -79,6 +79,7 @@
 #include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/instrument.hh"
 #include "mct/config.hh"
 #include "report.hh"
 
@@ -191,15 +192,15 @@ cmdShow(int argc, char **argv)
     }
     if (!hostPath.empty()) {
         RunData host;
-        Profile prof;
+        std::vector<mct::HostProfiler::Stage> stages;
         if (!loadSnapshots(hostPath, host, err) ||
-            !loadProfile(hostPath, prof, err)) {
+            !loadProfile(hostPath, stages, err)) {
             std::fprintf(stderr, "error: %s\n", err.c_str());
             return 3;
         }
         if (!statsPath.empty())
             std::cout << "\n";
-        renderHostSummary(std::cout, host, prof);
+        renderHostSummary(std::cout, host, stages);
     }
     return 0;
 }
@@ -351,17 +352,18 @@ cmdExplain(int argc, char **argv)
                   << ", app " << run.app << ", config " << run.config
                   << "\n";
         bool any = false;
-        for (const auto &[name, v] : run.finalScalars) {
-            if (name.rfind("mct.audit.", 0) != 0)
+        for (const auto &[name, v] : run.final) {
+            if (v.kind == mct::StatKind::Histogram ||
+                name.rfind("mct.audit.", 0) != 0)
                 continue;
             if (!any)
                 std::cout << "audit stats:\n";
             any = true;
-            std::printf("  %-32s %g\n", name.c_str(), v);
+            std::printf("  %-32s %g\n", name.c_str(), v.num);
         }
         std::cout << "\n";
     }
-    ProvSet prov;
+    std::vector<mct::ProvenanceRecord> prov;
     if (!loadProvenance(provPath, prov, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 3;

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "common/instrument.hh"
@@ -331,67 +333,211 @@ parseJson(const std::string &text)
 }
 
 // --------------------------------------------------------------------
-// Run data
+// Checked field reads
 // --------------------------------------------------------------------
-
-double
-RunHistogram::percentile(double p) const
-{
-    if (count == 0)
-        return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    const double target = p * static_cast<double>(count);
-    std::uint64_t cum = 0;
-    for (const auto &[lo, n] : buckets) {
-        if (n == 0)
-            continue;
-        cum += n;
-        if (static_cast<double>(cum) >= target) {
-            // Buckets are log2: [0,1) then [2^(i-1), 2^i), so the
-            // upper edge is always lo*2 (1 for the zero bucket) —
-            // identical to LogHistogram::percentile.
-            const double hi = lo == 0.0 ? 1.0 : lo * 2.0;
-            const double into =
-                target - static_cast<double>(cum - n);
-            const double frac =
-                std::clamp(into / static_cast<double>(n), 0.0, 1.0);
-            return lo + (hi - lo) * frac;
-        }
-    }
-    const double lastLo = buckets.back().first;
-    return lastLo == 0.0 ? 1.0 : lastLo * 2.0;
-}
 
 namespace
 {
 
-/** Split a snapshot object into scalar and histogram members. */
-void
-splitSnapshot(const JsonValue &snap,
-              std::map<std::string, double> &scalars,
-              std::map<std::string, RunHistogram> *hists)
+/** @p v as an error message shows it. */
+std::string
+describe(const JsonValue &v)
 {
-    for (const auto &[path, v] : snap.members) {
-        if (v.kind == JsonValue::Kind::Number) {
-            scalars[path] = v.number;
-        } else if (v.kind == JsonValue::Kind::Object && hists) {
-            RunHistogram h;
-            h.count =
-                static_cast<std::uint64_t>(v.num("count", 0.0));
-            h.sum = v.num("sum", 0.0);
-            if (const JsonValue *bs = v.find("buckets")) {
-                for (const JsonValue &b : bs->arr) {
-                    if (b.kind != JsonValue::Kind::Array ||
-                        b.arr.size() != 2)
-                        continue;
-                    h.buckets.emplace_back(
-                        b.arr[0].number,
-                        static_cast<std::uint64_t>(b.arr[1].number));
-                }
+    if (v.kind == JsonValue::Kind::String)
+        return "\"" + v.str + "\"";
+    if (v.kind != JsonValue::Kind::Number)
+        return "a non-number";
+    std::ostringstream s;
+    s << v.number;
+    return s.str();
+}
+
+/**
+ * @p v as a whole number @p T can hold; false, leaving @p out alone,
+ * for anything else. Every integer a loader reads goes through here:
+ * a raw cast of a negative, fractional or huge double is undefined.
+ */
+template <typename T>
+bool
+wholeNumber(const JsonValue &v, T &out)
+{
+    using Limits = std::numeric_limits<T>;
+    // Both bounds are powers of two, so exact as doubles.
+    const double lo = static_cast<double>(Limits::min());
+    const double hi = 2.0 * static_cast<double>(Limits::max() / 2 + 1);
+    const double x = v.number;
+    if (v.kind != JsonValue::Kind::Number || !(x >= lo && x < hi) ||
+        x != std::floor(x))
+        return false;
+    out = static_cast<T>(x);
+    return true;
+}
+
+/** The error for a value @p v of @p what that wholeNumber<T> refused. */
+template <typename T>
+std::string
+notWhole(const std::string &what, const JsonValue &v)
+{
+    using Limits = std::numeric_limits<T>;
+    return what + " must be a whole number in [" +
+           std::to_string(Limits::min()) + ", " +
+           std::to_string(Limits::max()) + "], got " + describe(v);
+}
+
+/**
+ * Integer member @p key of @p obj through wholeNumber(). An absent
+ * key keeps @p out; any other non-whole value fails with @p err
+ * naming @p where and the key.
+ */
+template <typename T>
+bool
+readWhole(const JsonValue &obj, const char *key, T &out,
+          const std::string &where, std::string &err)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || wholeNumber(*v, out))
+        return true;
+    err = notWhole<T>(where + ": '" + key + "'", *v);
+    return false;
+}
+
+/** Boolean member @p key of @p obj (false when absent or not a bool). */
+bool
+flag(const JsonValue &obj, const char *key)
+{
+    const JsonValue *v = obj.find(key);
+    return v && v->kind == JsonValue::Kind::Bool && v->boolean;
+}
+
+/**
+ * Parse every non-blank line of the JSONL file @p path and hand it to
+ * @p row(value, where); "path:line" is the @p where that prefixes any
+ * error, the parser's own included.
+ */
+template <typename Row>
+bool
+forEachJsonLine(const std::string &path, std::string &err, Row row)
+{
+    std::string text;
+    if (!readFile(path, text, err))
+        return false;
+    std::istringstream is(text);
+    std::string line;
+    std::size_t lineNo = 0;
+    while (std::getline(is, line)) {
+        ++lineNo;
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        const std::string where = path + ":" + std::to_string(lineNo);
+        const JsonParse p = parseJson(line);
+        if (!p.ok) {
+            err = where + ": " + p.error;
+            return false;
+        }
+        if (!row(p.value, where))
+            return false;
+    }
+    return true;
+}
+
+// --------------------------------------------------------------------
+// Run data
+// --------------------------------------------------------------------
+
+/**
+ * Dense LogHistogram index of the bucket whose low bound is @p lo, or
+ * LogHistogram::numBuckets when @p lo is no bucket's low bound.
+ */
+std::size_t
+bucketIndex(const JsonValue &lo)
+{
+    constexpr std::size_t none = LogHistogram::numBuckets;
+    if (lo.kind != JsonValue::Kind::Number)
+        return none;
+    if (lo.number == 0.0)
+        return 0;
+    // Bucket i >= 1 starts at 2^(i-1) = 0.5 * 2^i.
+    int exp = 0;
+    const double mant = std::frexp(lo.number, &exp);
+    if (mant != 0.5 || exp < 1 || static_cast<std::size_t>(exp) >= none)
+        return none;
+    return static_cast<std::size_t>(exp);
+}
+
+/** A serialized histogram back in the dense, trimmed form that
+ *  StatRegistry::snapshot captures. */
+bool
+loadHistogram(const JsonValue &h, StatValue &out, const std::string &where,
+              std::string &err)
+{
+    out.kind = StatKind::Histogram;
+    out.num = h.num("sum", 0.0);
+    if (!readWhole(h, "count", out.count, where, err))
+        return false;
+    std::uint64_t total = 0;
+    if (const JsonValue *bs = h.find("buckets")) {
+        for (const JsonValue &b : bs->arr) {
+            if (b.kind != JsonValue::Kind::Array || b.arr.size() != 2) {
+                err = where + ": a bucket is not a [low, count] pair";
+                return false;
             }
-            (*hists)[path] = std::move(h);
+            const std::size_t i = bucketIndex(b.arr[0]);
+            if (i == LogHistogram::numBuckets) {
+                err = where + ": bucket low " + describe(b.arr[0]) +
+                      " is neither 0 nor a power of two below 2^63";
+                return false;
+            }
+            std::uint64_t n = 0;
+            if (!wholeNumber(b.arr[1], n)) {
+                err = notWhole<std::uint64_t>(
+                    where + ": bucket " + describe(b.arr[0]), b.arr[1]);
+                return false;
+            }
+            if (n > std::numeric_limits<std::uint64_t>::max() - total) {
+                err = where + ": bucket counts overflow";
+                return false;
+            }
+            total += n;
+            if (i >= out.buckets.size())
+                out.buckets.resize(i + 1, 0);
+            out.buckets[i] += n;
         }
     }
+    while (!out.buckets.empty() && out.buckets.back() == 0)
+        out.buckets.pop_back();
+    if (total != out.count) {
+        err = where + ": bucket counts sum to " + std::to_string(total) +
+              ", 'count' says " + std::to_string(out.count);
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Load the snapshot object @p snap into @p out. Numbers are counters
+ * when @p counters names them and gauges otherwise; objects are
+ * histograms; null (a non-finite value) stays absent.
+ */
+bool
+loadSnapshot(const JsonValue &snap, const std::set<std::string> &counters,
+             StatSnapshot &out, const std::string &where,
+             std::string &err)
+{
+    for (const auto &[path, v] : snap.members) {
+        StatValue sv;
+        if (v.kind == JsonValue::Kind::Number) {
+            sv.kind = counters.count(path) ? StatKind::Counter
+                                           : StatKind::Gauge;
+            sv.num = v.number;
+        } else if (v.kind == JsonValue::Kind::Object) {
+            if (!loadHistogram(v, sv, where + " '" + path + "'", err))
+                return false;
+        } else {
+            continue;
+        }
+        out.insert_or_assign(path, std::move(sv));
+    }
+    return true;
 }
 
 } // namespace
@@ -417,22 +563,27 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
         err = path + ": missing 'final' snapshot";
         return false;
     }
-    splitSnapshot(*final_, out.finalScalars, &out.finalHists);
+    std::set<std::string> counters;
     if (const JsonValue *kinds = doc.find("kinds")) {
-        for (const auto &[name, v] : kinds->members) {
-            if (v.kind == JsonValue::Kind::String)
-                out.kinds[name] = v.str;
-        }
+        for (const auto &[name, v] : kinds->members)
+            if (v.kind == JsonValue::Kind::String && v.str == "counter")
+                counters.insert(name);
     }
+    if (!loadSnapshot(*final_, counters, out.final, path + ": final",
+                      err))
+        return false;
     if (const JsonValue *periodic = doc.find("periodic")) {
-        for (const JsonValue &entry : periodic->arr) {
+        for (std::size_t i = 0; i < periodic->arr.size(); ++i) {
+            const JsonValue &entry = periodic->arr[i];
             const JsonValue *delta = entry.find("delta");
             if (!delta)
                 continue;
-            RunWindow w;
-            w.inst =
-                static_cast<std::uint64_t>(entry.num("inst", 0.0));
-            splitSnapshot(*delta, w.scalars, nullptr);
+            const std::string where =
+                path + ": periodic[" + std::to_string(i) + "]";
+            std::pair<std::uint64_t, StatSnapshot> w;
+            if (!readWhole(entry, "inst", w.first, where, err) ||
+                !loadSnapshot(*delta, counters, w.second, where, err))
+                return false;
             out.windows.push_back(std::move(w));
         }
     }
@@ -508,7 +659,8 @@ loadManifest(const std::string &path, ManifestData &out,
     out.mode = doc.text("mode", "");
     out.app = doc.text("app", "");
     out.config = doc.text("config", "");
-    out.seed = static_cast<std::uint64_t>(doc.num("seed", 0.0));
+    if (!readWhole(doc, "seed", out.seed, path, err))
+        return false;
     out.faultPlan = doc.text("fault_plan", "");
     out.fingerprint = doc.text("fingerprint", "");
     const JsonValue *arts = doc.find("artifacts");
@@ -516,15 +668,33 @@ loadManifest(const std::string &path, ManifestData &out,
         err = path + ": missing 'artifacts' array";
         return false;
     }
-    for (const JsonValue &a : arts->arr) {
+    for (std::size_t i = 0; i < arts->arr.size(); ++i) {
+        const JsonValue &a = arts->arr[i];
+        const std::string where = path + ": artifact " + std::to_string(i);
+        for (const char *key : {"kind", "path", "bytes", "fnv1a"}) {
+            if (!a.find(key)) {
+                err = where + ": missing '" + key + "'";
+                return false;
+            }
+        }
+        for (const char *key : {"kind", "path"}) {
+            if (a.text(key, "").empty()) {
+                err = where + ": '" + key + "' must be a non-empty string";
+                return false;
+            }
+        }
         ManifestArtifactRow row;
         row.kind = a.text("kind", "");
         row.schema = a.text("schema", "");
         row.path = a.text("path", "");
-        row.bytes = static_cast<std::uint64_t>(a.num("bytes", 0.0));
         row.fnv1a = a.text("fnv1a", "");
-        if (row.path.empty()) {
-            err = path + ": artifact without a path";
+        if (!readWhole(a, "bytes", row.bytes, where, err))
+            return false;
+        if (row.fnv1a.size() != 16 ||
+            row.fnv1a.find_first_not_of("0123456789abcdef") !=
+                std::string::npos) {
+            err = where + ": 'fnv1a' must be 16 lowercase hex digits, got " +
+                  describe(*a.find("fnv1a"));
             return false;
         }
         out.artifacts.push_back(std::move(row));
@@ -559,41 +729,6 @@ verifyManifest(const ManifestData &m, std::string &err)
     return true;
 }
 
-StatSnapshot
-snapshotFromRun(const RunData &run)
-{
-    StatSnapshot snap;
-    for (const auto &[name, v] : run.finalScalars) {
-        StatValue sv;
-        const auto k = run.kinds.find(name);
-        sv.kind = (k != run.kinds.end() && k->second == "counter")
-                      ? StatKind::Counter
-                      : StatKind::Gauge;
-        sv.num = v;
-        snap.emplace(name, std::move(sv));
-    }
-    for (const auto &[name, h] : run.finalHists) {
-        StatValue sv;
-        sv.kind = StatKind::Histogram;
-        sv.num = h.sum;
-        sv.count = h.count;
-        for (const auto &[lo, n] : h.buckets) {
-            // Bucket lows are exact powers of two (or 0), so the
-            // dense LogHistogram index round-trips exactly.
-            const std::size_t idx =
-                lo == 0.0 ? 0
-                          : static_cast<std::size_t>(
-                                std::lround(std::log2(lo))) +
-                                1;
-            if (idx >= sv.buckets.size())
-                sv.buckets.resize(idx + 1, 0);
-            sv.buckets[idx] += n;
-        }
-        snap.emplace(name, std::move(sv));
-    }
-    return snap;
-}
-
 namespace
 {
 
@@ -604,14 +739,6 @@ struct FleetRun
     std::string key; ///< group-by value
     StatSnapshot snap;
 };
-
-/** Fold a loaded run document into @p snap (first writer wins). */
-void
-foldIntoSnapshot(const RunData &run, StatSnapshot &snap)
-{
-    for (auto &[name, v] : snapshotFromRun(run))
-        snap.emplace(name, std::move(v));
-}
 
 /** Merge one group's runs and flag its dispersion outliers. */
 FleetGroup
@@ -740,26 +867,20 @@ aggregateManifests(const std::vector<std::string> &paths,
             return false;
         }
         bool any = false;
-        std::string loadErr;
-        if (const ManifestArtifactRow *a = m.artifact("stats")) {
+        // The stats document first: on a path both documents carry,
+        // the first one loaded wins.
+        for (const char *kind : {"stats", "host"}) {
+            const ManifestArtifactRow *a = m.artifact(kind);
+            if (!a || (!opt.withHost && a->kind == "host"))
+                continue;
             RunData rd;
+            std::string loadErr;
             if (!loadSnapshots(m.artifactPath(*a), rd, loadErr)) {
                 err = m.path + ": " + loadErr;
                 return false;
             }
-            foldIntoSnapshot(rd, run.snap);
+            run.snap.merge(rd.final);
             any = true;
-        }
-        if (opt.withHost) {
-            if (const ManifestArtifactRow *a = m.artifact("host")) {
-                RunData rd;
-                if (!loadSnapshots(m.artifactPath(*a), rd, loadErr)) {
-                    err = m.path + ": " + loadErr;
-                    return false;
-                }
-                foldIntoSnapshot(rd, run.snap);
-                any = true;
-            }
         }
         if (!any) {
             err = m.path + ": no aggregatable artifacts (need a "
@@ -901,16 +1022,22 @@ loadTimeline(const std::string &path, TimelineData &out,
     out.mode = doc.text("mode", "");
     out.app = doc.text("app", "");
     out.config = doc.text("config", "");
-    out.capacity = static_cast<std::size_t>(doc.num("capacity", 0.0));
+    if (!readWhole(doc, "capacity", out.capacity, path, err))
+        return false;
     if (const JsonValue *metrics = doc.find("metrics")) {
         for (const JsonValue &m : metrics->arr)
             if (m.kind == JsonValue::Kind::String)
                 out.metrics.push_back(m.str);
     }
     if (const JsonValue *insts = doc.find("inst")) {
-        for (const JsonValue &v : insts->arr)
-            out.insts.push_back(
-                static_cast<std::uint64_t>(v.number));
+        for (const JsonValue &v : insts->arr) {
+            std::uint64_t inst = 0;
+            if (!wholeNumber(v, inst)) {
+                err = notWhole<std::uint64_t>(path + ": 'inst'", v);
+                return false;
+            }
+            out.insts.push_back(inst);
+        }
     }
     const JsonValue *series = doc.find("series");
     if (!series || series->kind != JsonValue::Kind::Object) {
@@ -939,42 +1066,28 @@ loadTimeline(const std::string &path, TimelineData &out,
 bool
 loadAlertLog(const std::string &path, AlertLog &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
-            return false;
-        }
-        const JsonValue &v = p.value;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          const std::string &where) {
         AlertRow row;
         const std::string ev = v.text("ev", "");
         if (ev != "alert_raised" && ev != "alert_cleared") {
-            err = path + ":" + std::to_string(lineNo) +
-                  ": unknown event '" + ev + "'";
+            err = where + ": unknown event '" + ev + "'";
             return false;
         }
         row.raised = ev == "alert_raised";
-        row.window = static_cast<std::uint64_t>(v.num("window", 0.0));
-        row.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
+        if (!readWhole(v, "window", row.window, where, err) ||
+            !readWhole(v, "inst", row.inst, where, err) ||
+            !readWhole(v, "windows_active", row.windowsActive, where,
+                       err))
+            return false;
         row.value = v.num("value", 0.0);
-        row.windowsActive =
-            static_cast<std::uint64_t>(v.num("windows_active", 0.0));
         row.rule = v.text("rule", "");
         row.metric = v.text("metric", "");
         row.condition = v.text("condition", "");
         row.severity = v.text("severity", "");
         out.rows.push_back(std::move(row));
-    }
-    return true;
+        return true;
+    });
 }
 
 std::string
@@ -1098,27 +1211,14 @@ renderTimeline(std::ostream &os, const TimelineData &tl,
 bool
 loadSpans(const std::string &path, SpanSet &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
-            return false;
-        }
-        const JsonValue &v = p.value;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          const std::string &where) {
         SpanRow row;
-        row.id = static_cast<std::uint64_t>(v.num("id", 0.0));
-        row.hitLevel = static_cast<int>(v.num("hit_level", 0.0));
+        if (!readWhole(v, "id", row.id, where, err) ||
+            !readWhole(v, "hit_level", row.hitLevel, where, err) ||
+            !readWhole(v, "inst", row.inst, where, err))
+            return false;
         row.isWrite = v.num("write", 0.0) != 0.0;
-        row.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
         const double beginPs = v.num("begin_ps", 0.0);
         const double endPs = v.num("end_ps", 0.0);
         row.totalNs = (endPs - beginPs) / 1000.0;
@@ -1132,8 +1232,8 @@ loadSpans(const std::string &path, SpanSet &out, std::string &err)
             }
         }
         out.spans.push_back(std::move(row));
-    }
-    return true;
+        return true;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1141,7 +1241,8 @@ loadSpans(const std::string &path, SpanSet &out, std::string &err)
 // --------------------------------------------------------------------
 
 bool
-loadProfile(const std::string &path, Profile &out, std::string &err)
+loadProfile(const std::string &path, std::vector<HostProfiler::Stage> &out,
+            std::string &err)
 {
     JsonValue doc;
     if (!parseJsonFile(path, doc, err))
@@ -1151,13 +1252,16 @@ loadProfile(const std::string &path, Profile &out, std::string &err)
         err = path + ": missing 'stages' array";
         return false;
     }
-    for (const JsonValue &s : stages->arr) {
-        ProfileStage st;
+    for (std::size_t i = 0; i < stages->arr.size(); ++i) {
+        const JsonValue &s = stages->arr[i];
+        HostProfiler::Stage st;
         st.name = s.text("name", "?");
-        st.seconds = s.num("seconds", 0.0);
+        st.wallSeconds = s.num("seconds", 0.0);
         st.cpuSeconds = s.num("cpu_seconds", 0.0);
-        st.calls = static_cast<std::uint64_t>(s.num("calls", 0.0));
-        out.stages.push_back(std::move(st));
+        if (!readWhole(s, "calls", st.calls,
+                       path + ": stages[" + std::to_string(i) + "]", err))
+            return false;
+        out.push_back(std::move(st));
     }
     return true;
 }
@@ -1169,104 +1273,102 @@ loadProfile(const std::string &path, Profile &out, std::string &err)
 namespace
 {
 
-ProvObjective
-provObjectiveFromJson(const JsonValue &v)
+/** Index of provenance objective @p name; false + @p err naming
+ *  @p where when the writer has no such objective. */
+bool
+objectiveIndex(const std::string &name, std::size_t &out,
+               const std::string &where, std::string &err)
 {
-    ProvObjective o;
-    o.pred = v.num("pred", 0.0);
-    o.sigma = v.num("sigma", 0.0);
-    o.real = v.num("real", 0.0);
-    o.err = v.num("err", 0.0);
-    const JsonValue *valid = v.find("err_valid");
-    o.errValid = valid && valid->kind == JsonValue::Kind::Bool &&
-                 valid->boolean;
-    return o;
+    for (out = 0; out < numProvenanceObjectives; ++out)
+        if (name == provenanceObjectiveName(out))
+            return true;
+    err = where + ": unknown objective '" + name + "'";
+    return false;
+}
+
+/** One JSONL line of ProvenanceTrace::writeJsonl back into a record. */
+bool
+provenanceFromJson(const JsonValue &v, ProvenanceRecord &rec,
+                   const std::string &where, std::string &err)
+{
+    if (!readWhole(v, "seq", rec.seq, where, err) ||
+        !readWhole(v, "phase", rec.phase, where, err) ||
+        !readWhole(v, "inst", rec.inst, where, err) ||
+        !readWhole(v, "close_inst", rec.closeInst, where, err) ||
+        !readWhole(v, "chosen", rec.chosen, where, err) ||
+        !readWhole(v, "sampled", rec.sampledConfigs, where, err))
+        return false;
+    rec.model = v.text("model", "");
+    rec.configKey = v.text("config", "");
+    rec.fallback = flag(v, "fallback");
+    if (const JsonValue *cons = v.find("constraints")) {
+        rec.minLifetimeYears = cons->num("min_lifetime_years", 0.0);
+        rec.ipcFraction = cons->num("ipc_fraction", 0.0);
+        rec.safetyMargin = cons->num("safety_margin", 0.0);
+    }
+    if (const JsonValue *objs = v.find("objectives")) {
+        for (const auto &[name, ov] : objs->members) {
+            std::size_t i = 0;
+            if (ov.kind != JsonValue::Kind::Object)
+                continue;
+            if (!objectiveIndex(name, i, where, err))
+                return false;
+            ProvenanceObjective &o = rec.objectives[i];
+            o.predicted = ov.num("pred", 0.0);
+            o.uncertainty = ov.num("sigma", 0.0);
+            o.realized = ov.num("real", 0.0);
+            o.relError = ov.num("err", 0.0);
+            o.errorValid = flag(ov, "err_valid");
+        }
+    }
+    if (const JsonValue *rus = v.find("runner_ups")) {
+        for (std::size_t j = 0; j < rus->arr.size(); ++j) {
+            const JsonValue &rv = rus->arr[j];
+            ProvenanceCandidate c;
+            if (!readWhole(rv, "config", c.config,
+                           where + ": runner_ups[" + std::to_string(j) +
+                               "]",
+                           err))
+                return false;
+            c.ipc = rv.num("ipc", 0.0);
+            c.lifetimeYears = rv.num("lifetime_years", 0.0);
+            c.energyJ = rv.num("energy_j", 0.0);
+            c.feasible = flag(rv, "feasible");
+            rec.runnerUps.push_back(c);
+        }
+    }
+    rec.bestSampledIpc = v.num("best_sampled_ipc", 0.0);
+    rec.regret = v.num("regret", 0.0);
+    rec.cumRegret = v.num("cum_regret", 0.0);
+    if (const JsonValue *attr = v.find("attribution")) {
+        for (const auto &[name, av] : attr->members) {
+            std::size_t i = 0;
+            if (av.kind != JsonValue::Kind::Array)
+                continue;
+            if (!objectiveIndex(name, i, where, err))
+                return false;
+            for (const JsonValue &wv : av.arr)
+                rec.attribution[i].push_back(wv.number);
+        }
+    }
+    rec.closed = flag(v, "closed");
+    return true;
 }
 
 } // namespace
 
 bool
-loadProvenance(const std::string &path, ProvSet &out, std::string &err)
+loadProvenance(const std::string &path,
+               std::vector<ProvenanceRecord> &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          const std::string &where) {
+        ProvenanceRecord rec;
+        if (!provenanceFromJson(v, rec, where, err))
             return false;
-        }
-        const JsonValue &v = p.value;
-        ProvRecord rec;
-        rec.seq = static_cast<std::uint64_t>(v.num("seq", 0.0));
-        rec.phase = static_cast<std::uint64_t>(v.num("phase", 0.0));
-        rec.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
-        rec.closeInst =
-            static_cast<std::uint64_t>(v.num("close_inst", 0.0));
-        rec.model = v.text("model", "");
-        rec.config = v.text("config", "");
-        rec.chosen = static_cast<long long>(v.num("chosen", -1.0));
-        const JsonValue *fb = v.find("fallback");
-        rec.fallback = fb && fb->kind == JsonValue::Kind::Bool &&
-                       fb->boolean;
-        rec.sampled = static_cast<std::uint64_t>(v.num("sampled", 0.0));
-        if (const JsonValue *cons = v.find("constraints")) {
-            rec.minLifetimeYears =
-                cons->num("min_lifetime_years", 0.0);
-            rec.ipcFraction = cons->num("ipc_fraction", 0.0);
-            rec.safetyMargin = cons->num("safety_margin", 0.0);
-        }
-        if (const JsonValue *objs = v.find("objectives")) {
-            for (const auto &[name, ov] : objs->members) {
-                if (ov.kind == JsonValue::Kind::Object)
-                    rec.objectives.emplace_back(
-                        name, provObjectiveFromJson(ov));
-            }
-        }
-        if (const JsonValue *rus = v.find("runner_ups")) {
-            for (const JsonValue &rv : rus->arr) {
-                ProvCandidate c;
-                c.config =
-                    static_cast<std::uint64_t>(rv.num("config", 0.0));
-                c.ipc = rv.num("ipc", 0.0);
-                c.lifetimeYears = rv.num("lifetime_years", 0.0);
-                c.energyJ = rv.num("energy_j", 0.0);
-                const JsonValue *feas = rv.find("feasible");
-                c.feasible = feas &&
-                             feas->kind == JsonValue::Kind::Bool &&
-                             feas->boolean;
-                rec.runnerUps.push_back(c);
-            }
-        }
-        rec.bestSampledIpc = v.num("best_sampled_ipc", 0.0);
-        rec.regret = v.num("regret", 0.0);
-        rec.cumRegret = v.num("cum_regret", 0.0);
-        if (const JsonValue *attr = v.find("attribution")) {
-            for (const auto &[name, av] : attr->members) {
-                if (av.kind != JsonValue::Kind::Array)
-                    continue;
-                std::vector<double> weights;
-                weights.reserve(av.arr.size());
-                for (const JsonValue &wv : av.arr)
-                    weights.push_back(wv.number);
-                rec.attribution.emplace_back(name,
-                                             std::move(weights));
-            }
-        }
-        const JsonValue *closed = v.find("closed");
-        rec.closed = closed &&
-                     closed->kind == JsonValue::Kind::Bool &&
-                     closed->boolean;
-        out.records.push_back(std::move(rec));
-    }
-    return true;
+        out.push_back(std::move(rec));
+        return true;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1451,7 +1553,9 @@ DiffReport
 diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
 {
     DiffReport rep;
-    for (const auto &[metric, curVal] : cur.finalScalars) {
+    for (const auto &[metric, curVal] : cur.final) {
+        if (curVal.kind == StatKind::Histogram)
+            continue;
         const ThresholdRule *rule = nullptr;
         for (const ThresholdRule &r : th.rules) {
             if (statGlobMatch(r.metricGlob, metric)) {
@@ -1461,8 +1565,9 @@ diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
         }
         if (!rule)
             continue;
-        const auto bit = base.finalScalars.find(metric);
-        if (bit == base.finalScalars.end()) {
+        const auto bit = base.final.find(metric);
+        if (bit == base.final.end() ||
+            bit->second.kind == StatKind::Histogram) {
             rep.missingInBase.push_back(metric);
             continue;
         }
@@ -1470,8 +1575,8 @@ diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
         c.metric = metric;
         c.glob = rule->metricGlob;
         c.higherIsBetter = rule->higherIsBetter;
-        c.base = bit->second;
-        c.cur = curVal;
+        c.base = bit->second.num;
+        c.cur = curVal.num;
         c.allowed = rule->rel * std::fabs(c.base) + rule->abs;
         if (c.base != 0.0)
             c.relChange = (c.cur - c.base) / std::fabs(c.base);
@@ -1559,12 +1664,14 @@ writeBenchReport(std::ostream &os, const RunData &base,
 namespace
 {
 
-/** The final scalar at @p path, or @p dflt. */
+/** The scalar at @p path of @p snap, or 0 (histograms included). */
 double
-scalarOr(const RunData &run, const std::string &path, double dflt)
+scalarOr0(const StatSnapshot &snap, const std::string &path)
 {
-    const auto it = run.finalScalars.find(path);
-    return it != run.finalScalars.end() ? it->second : dflt;
+    const auto it = snap.find(path);
+    return it != snap.end() && it->second.kind != StatKind::Histogram
+               ? it->second.num
+               : 0.0;
 }
 
 } // namespace
@@ -1578,12 +1685,12 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
 
     TextTable obj;
     obj.header({"objective", "value"});
-    obj.row({"ipc", fmt(scalarOr(run, "sim.objective.ipc", 0.0), 4)});
+    obj.row({"ipc", fmt(scalarOr0(run.final, "sim.objective.ipc"), 4)});
     obj.row({"lifetime_years",
-             fmt(scalarOr(run, "sim.objective.lifetime_years", 0.0),
+             fmt(scalarOr0(run.final, "sim.objective.lifetime_years"),
                  2)});
     obj.row({"avg_read_latency_ns",
-             fmt(scalarOr(run, "memctrl.avg_read_latency_ns", 0.0),
+             fmt(scalarOr0(run.final, "memctrl.avg_read_latency_ns"),
                  1)});
     obj.print(os);
     os << "\n";
@@ -1592,14 +1699,18 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
     TextTable lat;
     lat.header({"stage", "spans", "mean_ns", "p50_ns", "p90_ns",
                 "p99_ns"});
-    for (const auto &[path, h] : run.finalHists) {
-        if (path.rfind("lat.", 0) != 0 || h.count == 0)
+    for (const auto &[path, h] : run.final) {
+        if (h.kind != StatKind::Histogram || path.rfind("lat.", 0) != 0 ||
+            h.count == 0)
             continue;
         const std::string stage =
             path.substr(4, path.size() - 4 - 3); // strip lat. / .ns
-        lat.row({stage, std::to_string(h.count), fmt(h.mean(), 1),
-                 fmt(h.percentile(0.50), 1), fmt(h.percentile(0.90), 1),
-                 fmt(h.percentile(0.99), 1)});
+        const auto pct = [&h](double p) {
+            return fmt(logHistogramPercentile(h.buckets, h.count, p), 1);
+        };
+        lat.row({stage, std::to_string(h.count),
+                 fmt(h.num / static_cast<double>(h.count), 1), pct(0.50),
+                 pct(0.90), pct(0.99)});
     }
     if (lat.rows()) {
         os << "latency attribution (sampled spans):\n";
@@ -1615,12 +1726,11 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
         const std::size_t from =
             maxWindows && n > maxWindows ? n - maxWindows : 0;
         for (std::size_t i = from; i < n; ++i) {
-            const RunWindow &rw = run.windows[i];
-            const auto get = [&rw](const char *k) {
-                const auto it = rw.scalars.find(k);
-                return it != rw.scalars.end() ? it->second : 0.0;
+            const auto &[inst, delta] = run.windows[i];
+            const auto get = [&delta](const char *k) {
+                return scalarOr0(delta, k);
             };
-            win.row({std::to_string(rw.inst),
+            win.row({std::to_string(inst),
                      fmt(get("sim.instructions"), 0),
                      fmt(get("memctrl.reads_completed"), 0),
                      fmt(get("memctrl.writes_completed"), 0),
@@ -1728,56 +1838,61 @@ topFeatures(const std::vector<double> &weights,
 } // namespace
 
 void
-renderExplain(std::ostream &os, const ProvSet &prov,
+renderExplain(std::ostream &os, const std::vector<ProvenanceRecord> &prov,
               const std::vector<std::string> &featureNames,
               std::size_t maxDecisions)
 {
     std::size_t closed = 0;
-    for (const ProvRecord &r : prov.records)
+    for (const ProvenanceRecord &r : prov)
         closed += r.closed ? 1 : 0;
-    os << "decisions: " << prov.records.size() << " (" << closed
+    os << "decisions: " << prov.size() << " (" << closed
        << " closed)\n\n";
 
-    const std::size_t n = prov.records.size();
+    const std::size_t n = prov.size();
     const std::size_t from =
         maxDecisions && n > maxDecisions ? n - maxDecisions : 0;
     if (from > 0)
         os << "(showing the last " << (n - from) << " of " << n
            << " decisions)\n\n";
     for (std::size_t i = from; i < n; ++i) {
-        const ProvRecord &r = prov.records[i];
+        const ProvenanceRecord &r = prov[i];
         os << "decision " << r.seq << " @ inst " << r.inst
            << " (phase " << r.phase << ", model " << r.model << ")\n";
-        os << "  config " << r.config
+        os << "  config " << r.configKey
            << (r.chosen >= 0 ? " (#" + std::to_string(r.chosen) + ")"
                              : " (baseline fallback)")
-           << ", " << r.sampled << " sampled, constraints: lifetime >= "
+           << ", " << r.sampledConfigs
+           << " sampled, constraints: lifetime >= "
            << fmt(r.minLifetimeYears, 1) << "y x "
            << fmt(r.safetyMargin, 2) << ", ipc >= "
            << fmt(r.ipcFraction, 2) << " of best\n";
         TextTable t;
         t.header({"objective", "predicted", "sigma", "realized",
                   "err"});
-        for (const auto &[name, o] : r.objectives) {
-            t.row({name, fmt(o.pred, 4), fmt(o.sigma, 4),
-                   r.closed ? fmt(o.real, 4) : "-",
-                   o.errValid ? fmt(o.err * 100.0, 2) + "%" : "-"});
+        for (std::size_t k = 0; k < numProvenanceObjectives; ++k) {
+            const ProvenanceObjective &o = r.objectives[k];
+            t.row({provenanceObjectiveName(k), fmt(o.predicted, 4),
+                   fmt(o.uncertainty, 4),
+                   r.closed ? fmt(o.realized, 4) : "-",
+                   o.errorValid ? fmt(o.relError * 100.0, 2) + "%" : "-"});
         }
         t.print(os);
         if (r.closed)
             os << "  regret " << fmt(r.regret, 4) << " (cumulative "
                << fmt(r.cumRegret, 4) << ") vs best sampled ipc "
                << fmt(r.bestSampledIpc, 4) << "\n";
-        for (const ProvCandidate &c : r.runnerUps)
+        for (const ProvenanceCandidate &c : r.runnerUps)
             os << "  runner-up #" << c.config << ": ipc "
                << fmt(c.ipc, 4) << ", lifetime "
                << fmt(c.lifetimeYears, 2) << "y, energy "
                << fmt(c.energyJ, 5) << (c.feasible ? "" : " (infeasible)")
                << "\n";
-        for (const auto &[name, weights] : r.attribution)
-            os << "  top features (" << name
-               << "): " << topFeatures(weights, featureNames, 5)
-               << "\n";
+        for (std::size_t k = 0; k < numProvenanceObjectives; ++k)
+            if (!r.attribution[k].empty())
+                os << "  top features (" << provenanceObjectiveName(k)
+                   << "): "
+                   << topFeatures(r.attribution[k], featureNames, 5)
+                   << "\n";
         os << "\n";
     }
 
@@ -1785,27 +1900,14 @@ renderExplain(std::ostream &os, const ProvSet &prov,
     TextTable cal;
     cal.header({"objective", "closed", "valid", "mean_err", "p50_err",
                 "p90_err"});
-    std::vector<std::string> names;
-    for (const ProvRecord &r : prov.records)
-        for (const auto &[name, o] : r.objectives)
-            if (std::find(names.begin(), names.end(), name) ==
-                names.end())
-                names.push_back(name);
-    for (const std::string &name : names) {
+    for (std::size_t k = 0; k < numProvenanceObjectives && n > 0; ++k) {
         std::vector<double> errs;
-        std::size_t total = 0;
         double sum = 0.0;
-        for (const ProvRecord &r : prov.records) {
-            if (!r.closed)
-                continue;
-            for (const auto &[oname, o] : r.objectives) {
-                if (oname != name)
-                    continue;
-                ++total;
-                if (o.errValid) {
-                    errs.push_back(o.err);
-                    sum += o.err;
-                }
+        for (const ProvenanceRecord &r : prov) {
+            const ProvenanceObjective &o = r.objectives[k];
+            if (r.closed && o.errorValid) {
+                errs.push_back(o.relError);
+                sum += o.relError;
             }
         }
         const double mean =
@@ -1814,8 +1916,8 @@ renderExplain(std::ostream &os, const ProvSet &prov,
         const std::size_t valid = errs.size();
         const double p90 = samplePercentile(errs, 0.90);
         const double p50 = samplePercentile(errs, 0.50);
-        cal.row({name, std::to_string(total), std::to_string(valid),
-                 fmt(mean * 100.0, 2) + "%",
+        cal.row({provenanceObjectiveName(k), std::to_string(closed),
+                 std::to_string(valid), fmt(mean * 100.0, 2) + "%",
                  fmt(p50 * 100.0, 2) + "%",
                  fmt(p90 * 100.0, 2) + "%"});
     }
@@ -1824,12 +1926,13 @@ renderExplain(std::ostream &os, const ProvSet &prov,
 }
 
 void
-renderProfile(std::ostream &os, const Profile &profile)
+renderProfile(std::ostream &os,
+              const std::vector<HostProfiler::Stage> &stages)
 {
     double total = 0.0;
     bool hasCpu = false;
-    for (const ProfileStage &s : profile.stages) {
-        total += s.seconds;
+    for (const HostProfiler::Stage &s : stages) {
+        total += s.wallSeconds;
         hasCpu = hasCpu || s.cpuSeconds > 0.0;
     }
     TextTable t;
@@ -1837,14 +1940,14 @@ renderProfile(std::ostream &os, const Profile &profile)
         t.header({"stage", "seconds", "cpu", "calls", "share"});
     else
         t.header({"stage", "seconds", "calls", "share"});
-    for (const ProfileStage &s : profile.stages) {
+    for (const HostProfiler::Stage &s : stages) {
         const std::string share =
-            fmt(total > 0 ? s.seconds / total * 100.0 : 0.0, 1) + "%";
+            fmt(total > 0 ? s.wallSeconds / total * 100.0 : 0.0, 1) + "%";
         if (hasCpu)
-            t.row({s.name, fmt(s.seconds, 3), fmt(s.cpuSeconds, 3),
+            t.row({s.name, fmt(s.wallSeconds, 3), fmt(s.cpuSeconds, 3),
                    std::to_string(s.calls), share});
         else
-            t.row({s.name, fmt(s.seconds, 3), std::to_string(s.calls),
+            t.row({s.name, fmt(s.wallSeconds, 3), std::to_string(s.calls),
                    share});
     }
     t.print(os);
@@ -1852,11 +1955,10 @@ renderProfile(std::ostream &os, const Profile &profile)
 
 void
 renderHostSummary(std::ostream &os, const RunData &run,
-                  const Profile &profile)
+                  const std::vector<HostProfiler::Stage> &stages)
 {
     const auto scalar = [&run](const char *name) {
-        const auto it = run.finalScalars.find(name);
-        return it == run.finalScalars.end() ? 0.0 : it->second;
+        return scalarOr0(run.final, name);
     };
     os << "host telemetry: " << run.path << "\n";
     if (!run.mode.empty())
@@ -1873,9 +1975,9 @@ renderHostSummary(std::ostream &os, const RunData &run,
        << fmt(scalar("sim.host.rss_hwm_kb"), 0) << "\n";
     os << "  instructions             "
        << fmt(scalar("sim.host.instructions"), 0) << "\n";
-    if (!profile.stages.empty()) {
+    if (!stages.empty()) {
         os << "host attribution:\n";
-        renderProfile(os, profile);
+        renderProfile(os, stages);
     }
 }
 

@@ -82,30 +82,6 @@ struct JsonParse
 // Run data (mct-stats-v1)
 // --------------------------------------------------------------------
 
-/** A log2-bucketed histogram as serialized in a stats document. */
-struct RunHistogram
-{
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    /** (bucketLow, count) pairs, ascending. */
-    std::vector<std::pair<double, std::uint64_t>> buckets;
-
-    double mean() const
-    {
-        return count ? sum / static_cast<double>(count) : 0.0;
-    }
-
-    /** Same interpolation semantics as LogHistogram::percentile. */
-    double percentile(double p) const;
-};
-
-/** One periodic delta window. */
-struct RunWindow
-{
-    std::uint64_t inst = 0;
-    std::map<std::string, double> scalars;
-};
-
 /** Everything mct_report needs from one --stats-json document. */
 struct RunData
 {
@@ -113,12 +89,10 @@ struct RunData
     std::string mode;
     std::string app;
     std::string config;
-    std::map<std::string, double> finalScalars;
-    std::map<std::string, RunHistogram> finalHists;
-    /** Scalar kind map ("counter"/"gauge") from the document's
-     *  "kinds" object; empty for documents predating it. */
-    std::map<std::string, std::string> kinds;
-    std::vector<RunWindow> windows;
+    /** The "final" snapshot, as StatRegistry::snapshot captured it. */
+    StatSnapshot final;
+    /** The "periodic" delta windows: (instruction count, delta). */
+    std::vector<std::pair<std::uint64_t, StatSnapshot>> windows;
     std::map<std::string, double> eventCounts;
     double eventsRecorded = 0.0;
     double eventsDropped = 0.0;
@@ -126,6 +100,13 @@ struct RunData
 
 /**
  * Load a stats document; false + @p err on parse/shape problems.
+ * Scalars take their kind from the document's "kinds" object (gauge
+ * when it is absent, as in host documents, which carry no counters);
+ * null, a non-finite value, stays absent. A histogram loads in the
+ * dense, trailing-zero-trimmed form writeSnapshot wrote it from, so
+ * loading inverts writing; a bucket low that is no LogHistogram
+ * bucket bound, bucket counts that do not sum to "count", or an
+ * integer field that is no whole number in range is a named error.
  * Accepts mct-stats-v1 (deterministic run document), mct-host-v1
  * (the nondeterministic host-telemetry document written by
  * --host-profile-out; same final/periodic shape, host scalars), and
@@ -191,15 +172,6 @@ struct ManifestData
  */
 [[nodiscard]] bool verifyManifest(const ManifestData &m,
                                   std::string &err);
-
-/**
- * Rebuild a typed snapshot from a loaded run document: scalars take
- * their kind from the document's "kinds" object (gauge when absent —
- * correct for host documents, which carry no counters), histograms
- * are re-bucketed into dense LogHistogram form. The result feeds
- * StatMerge, whose merge is order-invariant by construction.
- */
-StatSnapshot snapshotFromRun(const RunData &run);
 
 /** One |value - mean| > k*stddev dispersion flag within a group. */
 struct FleetOutlier
@@ -362,87 +334,29 @@ struct SpanSet
 // Host stage tables
 // --------------------------------------------------------------------
 
-struct ProfileStage
-{
-    std::string name;
-    double seconds = 0.0;    ///< wall seconds
-    double cpuSeconds = 0.0; ///< CPU seconds (0 for wall-only dumps)
-    std::uint64_t calls = 0;
-};
-
-struct Profile
-{
-    std::vector<ProfileStage> stages;
-};
-
 /**
  * Load the stage table ({"stages":[...]}) of an mct-host-v1 document:
  * mct_sim --host-profile-out, or a bench binary's --profile-out /
- * MCT_BENCH_PROFILE dump.
+ * MCT_BENCH_PROFILE dump. A stage without cpu_seconds (a wall-only
+ * dump) reads 0 CPU seconds.
  */
-[[nodiscard]] bool loadProfile(const std::string &path, Profile &out,
+[[nodiscard]] bool loadProfile(const std::string &path,
+                               std::vector<HostProfiler::Stage> &out,
                                std::string &err);
 
 // --------------------------------------------------------------------
 // Decision provenance (--provenance-out JSONL)
 // --------------------------------------------------------------------
 
-/** One objective's predicted-vs-realized audit row. */
-struct ProvObjective
-{
-    double pred = 0.0;
-    double sigma = 0.0; ///< model-reported 1-sigma (0 when n/a)
-    double real = 0.0;
-    double err = 0.0; ///< |pred - real| / |real|
-    bool errValid = false;
-};
-
-/** A rejected runner-up candidate. */
-struct ProvCandidate
-{
-    std::uint64_t config = 0;
-    double ipc = 0.0;
-    double lifetimeYears = 0.0;
-    double energyJ = 0.0;
-    bool feasible = false;
-};
-
-/** One decision's provenance record (one JSONL line). */
-struct ProvRecord
-{
-    std::uint64_t seq = 0;
-    std::uint64_t phase = 0;
-    std::uint64_t inst = 0;
-    std::uint64_t closeInst = 0;
-    std::string model;
-    std::string config;
-    long long chosen = -1;
-    bool fallback = false;
-    std::uint64_t sampled = 0;
-    double minLifetimeYears = 0.0;
-    double ipcFraction = 0.0;
-    double safetyMargin = 0.0;
-    /** (objective name, audit row) in the emitter's order. */
-    std::vector<std::pair<std::string, ProvObjective>> objectives;
-    std::vector<ProvCandidate> runnerUps;
-    double bestSampledIpc = 0.0;
-    double regret = 0.0;
-    double cumRegret = 0.0;
-    /** objective -> per-feature attribution (absent when the decision
-     *  was not an attribution-snapshot decision). */
-    std::vector<std::pair<std::string, std::vector<double>>>
-        attribution;
-    bool closed = false;
-};
-
-struct ProvSet
-{
-    std::vector<ProvRecord> records;
-};
-
-/** Load a provenance JSONL stream; false + @p err on bad lines. */
+/**
+ * Load a provenance JSONL stream back into the records
+ * ProvenanceTrace::writeJsonl wrote; false + @p err ("path:line: ...")
+ * on a malformed line, an unknown objective name or an integer field
+ * that is no whole number in range.
+ */
 [[nodiscard]] bool loadProvenance(const std::string &path,
-                                  ProvSet &out, std::string &err);
+                                  std::vector<ProvenanceRecord> &out,
+                                  std::string &err);
 
 // --------------------------------------------------------------------
 // Thresholds (declarative regression gates)
@@ -514,7 +428,7 @@ struct DiffReport
  * Gate @p cur against @p base: every final scalar of @p cur that
  * matches a threshold rule is checked (first matching rule wins).
  * Histograms gate through their derived percentile gauges, which are
- * final scalars already.
+ * final scalars already; a histogram itself is never gated.
  */
 DiffReport diffRuns(const RunData &base, const RunData &cur,
                     const Thresholds &th);
@@ -545,12 +459,14 @@ void renderSpans(std::ostream &os, const SpanSet &spans);
  * attribution entries (falls back to the index when short/empty);
  * @p maxDecisions caps the per-decision blocks (0 = all).
  */
-void renderExplain(std::ostream &os, const ProvSet &prov,
+void renderExplain(std::ostream &os,
+                   const std::vector<ProvenanceRecord> &prov,
                    const std::vector<std::string> &featureNames,
                    std::size_t maxDecisions);
 
 /** Stage-timing table (adds a cpu column when any stage has one). */
-void renderProfile(std::ostream &os, const Profile &profile);
+void renderProfile(std::ostream &os,
+                   const std::vector<HostProfiler::Stage> &stages);
 
 /**
  * Host-telemetry summary for one run: simulator
@@ -558,7 +474,7 @@ void renderProfile(std::ostream &os, const Profile &profile);
  * the per-stage host attribution table.
  */
 void renderHostSummary(std::ostream &os, const RunData &run,
-                       const Profile &profile);
+                       const std::vector<HostProfiler::Stage> &stages);
 
 } // namespace mct::report
 
