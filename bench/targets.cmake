@@ -27,3 +27,12 @@ mct_add_bench(bench_fig9_sampling_overhead)
 mct_add_bench(bench_fig10_multiprogram)
 mct_add_bench(bench_ablation_mct)
 mct_add_bench(bench_faults)
+
+# Table 1's 20 tradeoff directions, end to end on lbm and bwaves: every
+# controller mechanism must still move IPC and lifetime the way the
+# paper says. It checks directions, not bytes, so the host's libm does
+# not matter; it writes no file.
+add_test(NAME repro_table1_directions COMMAND bench_table1_tradeoffs)
+set_tests_properties(repro_table1_directions PROPERTIES
+    PASS_REGULAR_EXPRESSION "directions matching Table 1: 20/20"
+    LABELS repro)

@@ -78,7 +78,11 @@ Core::ipc() const
 void
 Core::onReadComplete(std::uint64_t id, Tick tick)
 {
-    outstanding.erase(id);
+    const auto it = std::find(outstanding.begin(), outstanding.end(), id);
+    if (it != outstanding.end()) {
+        *it = outstanding.back();
+        outstanding.pop_back();
+    }
     lastCompletionTick = std::max(lastCompletionTick, tick);
     if (spans)
         spans->end(id, tick, 0);
@@ -163,7 +167,7 @@ Core::executeMemOp()
             st.memStallTicks += cpuTick - before;
         }
         ++st.memReads;
-        outstanding.insert(id);
+        outstanding.push_back(id);
         if (spans)
             spans->stageEnter(id, SpanStage::Mshr, cpuTick);
         router.drain();
@@ -218,7 +222,8 @@ void
 Core::waitForRead(std::uint64_t id)
 {
     const Tick before = cpuTick;
-    while (outstanding.count(id)) {
+    while (std::find(outstanding.begin(), outstanding.end(), id) !=
+           outstanding.end()) {
         pumpController();
     }
     cpuTick = std::max(cpuTick, lastCompletionTick);
@@ -285,13 +290,11 @@ Core::io(Ar &ar)
     ar.u64(cpuTick, nextReadSeq);
     // The MSHR set is unordered; it travels sorted so identical state
     // always produces identical bytes.
-    std::vector<std::uint64_t> ids(outstanding.begin(), outstanding.end());
+    std::vector<std::uint64_t> ids = outstanding;
     std::sort(ids.begin(), ids.end());
     ar.seq(ids, [&ar](std::uint64_t &id) { ar.u64(id); });
-    if constexpr (Ar::reading) {
-        outstanding.clear();
-        outstanding.insert(ids.begin(), ids.end());
-    }
+    if constexpr (Ar::reading)
+        outstanding = std::move(ids);
     ar.u64(lastCompletionTick, memOpsSinceEagerCheck);
     ar.u32(pendingOp.gap);
     ar.flag(pendingOp.isWrite);

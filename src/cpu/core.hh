@@ -25,7 +25,6 @@
 #define MCT_CPU_CORE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -168,7 +167,9 @@ class Core
     SpanTrace *spans = nullptr;
     Tick cpuTick = 0;
     std::uint64_t nextReadSeq = 0;
-    std::unordered_set<std::uint64_t> outstanding;
+    /** Ids of the reads in flight (the MSHRs): at most
+     *  min(mlp, maxMshrs) of them, in no particular order. */
+    std::vector<std::uint64_t> outstanding;
     Tick lastCompletionTick = 0;
     std::uint64_t memOpsSinceEagerCheck = 0;
 

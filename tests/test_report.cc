@@ -732,6 +732,28 @@ TEST(Thresholds, ParsesBlocksAndDefaults)
     EXPECT_FALSE(dflt.rules.empty());
 }
 
+TEST(Thresholds, DefaultsMatchFile)
+{
+    // A diff without --thresholds must gate what the committed file
+    // gates, rule for rule and in the same order (first match wins).
+    Thresholds dflt, file;
+    std::string err;
+    ASSERT_TRUE(parseThresholds(defaultThresholdsText(), dflt, err)) << err;
+    ASSERT_TRUE(loadThresholds(
+        std::string(MCT_SOURCE_DIR) + "/tools/report/thresholds.txt", file,
+        err))
+        << err;
+    ASSERT_EQ(dflt.rules.size(), file.rules.size());
+    for (std::size_t i = 0; i < file.rules.size(); ++i) {
+        const ThresholdRule &d = dflt.rules[i];
+        const ThresholdRule &f = file.rules[i];
+        EXPECT_EQ(d.metricGlob, f.metricGlob) << "rule " << i;
+        EXPECT_EQ(d.higherIsBetter, f.higherIsBetter) << f.metricGlob;
+        EXPECT_EQ(d.rel, f.rel) << f.metricGlob;
+        EXPECT_EQ(d.abs, f.abs) << f.metricGlob;
+    }
+}
+
 TEST(Thresholds, ErrorsCarryLineNumbers)
 {
     Thresholds th;
@@ -1291,6 +1313,32 @@ TEST(Render, TimelineWithAlertMarkers)
         "alert totals: 2 raised (1 critical, 1 warn, 0 info), 1 cleared, 0 stil"
         "l active\n";
     EXPECT_EQ(scrub(out.str(), tl.path(), "TL"), want);
+}
+
+TEST(Render, TimelineNullWindowIsUnknown)
+{
+    // The writer emits a non-finite window value as null: it renders
+    // as '?', not as the series minimum.
+    const auto doc = [](const std::string &series) {
+        return R"({"schema":"mct-timeline-v1","capacity":3,)"
+               R"("metrics":["m"],"inst":[1,2,3],"series":{"m":)" +
+               series + "}}";
+    };
+    const TempFile tl(doc("[1,null,3]"));
+    TimelineData data;
+    std::string err;
+    ASSERT_TRUE(loadTimeline(tl.path(), data, err)) << err;
+    std::ostringstream out;
+    renderTimeline(out, data, AlertLog{}, 0);
+    EXPECT_NE(out.str().find("  _?#"), std::string::npos) << out.str();
+
+    // Any other non-number is a named error.
+    const TempFile bad(doc(R"([1,"x",3])"));
+    TimelineData badData;
+    EXPECT_FALSE(loadTimeline(bad.path(), badData, err));
+    EXPECT_NE(err.find(bad.path() + ": series 'm' window 1"),
+              std::string::npos)
+        << err;
 }
 
 TEST(Render, SpansByLevelAndStage)

@@ -10,7 +10,10 @@
  *                                                   brute-force sweep
  *   mct_sim trace --app lbm --ops 100000 --out lbm.trace
  *                                                   capture a trace
- *   mct_sim eval --trace lbm.trace [config flags]   replay a trace
+ *   mct_sim eval --trace lbm.trace [config flags] [--stats]
+ *                                                   replay a trace (no
+ *                                                   telemetry, fault or
+ *                                                   checkpoint flags)
  *   mct_sim eval --app lbm --stats                  also print every
  *                                                   registry stat with
  *                                                   its description
@@ -238,30 +241,44 @@ struct Args
     }
 };
 
+using Flags = std::set<std::string>;
+
+/** The flags each shared helper reads. */
+struct FlagGroups
+{
+    Flags config{"fast",  "slow",      "bank",
+                 "eager", "quota",     "cancel",
+                 "pause", "retention", "fastreads"};
+    Flags run{"warmup", "measure", "seed", "startgap"};
+    Flags telemetry{
+        "stats-json",     "stats-every",      "trace-out",
+        "trace-chrome",   "trace-cap",        "spans-out",
+        "spans-chrome",   "span-sample",      "span-cap",
+        "provenance-out", "provenance-chrome", "provenance-cap",
+        "audit-every",    "host-profile-out", "host-profile-chrome",
+        "timeline-out",   "timeline-metrics", "timeline-cap",
+        "alerts",         "alerts-out",       "manifest-out"};
+    Flags faults{"faults", "fault-seed"};
+    Flags ckpt{"ckpt-out", "ckpt-every", "resume"};
+};
+
+const FlagGroups &
+flagGroups()
+{
+    static const FlagGroups groups;
+    return groups;
+}
+
 /**
  * The flags @p mode reads: its own and those of the shared helpers it
  * calls (configFromArgs, evalFromArgs, telemetryFromArgs,
  * faultsFromArgs, ckptFromArgs). Null for an unknown mode.
  */
-const std::set<std::string> *
+const Flags *
 modeFlags(const std::string &mode)
 {
-    using Flags = std::set<std::string>;
     static const std::map<std::string, Flags> table = [] {
-        const Flags config{"fast",  "slow",      "bank",
-                           "eager", "quota",     "cancel",
-                           "pause", "retention", "fastreads"};
-        const Flags run{"warmup", "measure", "seed", "startgap"};
-        const Flags telemetry{
-            "stats-json",     "stats-every",      "trace-out",
-            "trace-chrome",   "trace-cap",        "spans-out",
-            "spans-chrome",   "span-sample",      "span-cap",
-            "provenance-out", "provenance-chrome", "provenance-cap",
-            "audit-every",    "host-profile-out", "host-profile-chrome",
-            "timeline-out",   "timeline-metrics", "timeline-cap",
-            "alerts",         "alerts-out",       "manifest-out"};
-        const Flags faults{"faults", "fault-seed"};
-        const Flags ckpt{"ckpt-out", "ckpt-every", "resume"};
+        const auto &[config, run, telemetry, faults, ckpt] = flagGroups();
         const auto join = [](std::initializer_list<Flags> groups) {
             Flags out;
             for (const Flags &g : groups)
@@ -289,7 +306,7 @@ parse(int argc, char **argv)
     Args args;
     if (argc > 1)
         args.mode = argv[1];
-    const std::set<std::string> *known = modeFlags(args.mode);
+    const Flags *known = modeFlags(args.mode);
     for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
         if (a.rfind("--", 0) != 0) {
@@ -1220,12 +1237,23 @@ cmdEval(const Args &args)
 {
     const MellowConfig cfg = configFromArgs(args);
     const EvalParams ep = evalFromArgs(args);
-    const CkptArgs ck = ckptFromArgs(args);
-    if (ck.armed() && args.has("trace"))
-        mct_fatal("--ckpt-out is not supported with --trace replay");
 
-    // --trace FILE replays a recorded trace instead of a model.
+    // --trace FILE replays a recorded trace instead of a model. The
+    // replay is not observed, perturbed or checkpointed, so a flag
+    // that asks for any of that is a usage error, not a silent no-op.
     if (args.has("trace")) {
+        const FlagGroups &g = flagGroups();
+        for (const Flags *group : {&g.telemetry, &g.faults, &g.ckpt}) {
+            for (const std::string &flag : *group) {
+                if (!args.has(flag))
+                    continue;
+                std::fprintf(stderr,
+                             "'--%s' is not supported with --trace "
+                             "replay\n",
+                             flag.c_str());
+                return 2;
+            }
+        }
         const std::string path = args.get("trace", "");
         auto wl = TraceWorkload::fromFile(path,
                                           args.getN<unsigned>("mlp", 16));
@@ -1236,9 +1264,12 @@ cmdEval(const Args &args)
         std::printf("trace          %s\n", path.c_str());
         std::printf("config         %s\n", toString(cfg).c_str());
         printMetrics(sys.metricsSince(s0));
+        if (args.has("stats"))
+            writeStatsText(std::cout, sys.statRegistry());
         return 0;
     }
 
+    const CkptArgs ck = ckptFromArgs(args);
     const std::string app = args.get("app", "lbm");
     if (!isWorkloadName(app)) {
         std::fprintf(stderr, "unknown app '%s' (try: mct_sim list)\n",

@@ -1046,8 +1046,18 @@ loadTimeline(const std::string &path, TimelineData &out,
     }
     for (const auto &[metric, vals] : series->members) {
         std::vector<double> &dst = out.series[metric];
-        for (const JsonValue &v : vals.arr)
-            dst.push_back(v.number);
+        for (const JsonValue &v : vals.arr) {
+            // The writer emits a non-finite window value as null.
+            if (v.kind == JsonValue::Kind::Null) {
+                dst.push_back(std::numeric_limits<double>::quiet_NaN());
+            } else if (v.kind == JsonValue::Kind::Number) {
+                dst.push_back(v.number);
+            } else {
+                err = path + ": series '" + metric + "' window " +
+                      std::to_string(dst.size()) + " is not a number";
+                return false;
+            }
+        }
         if (dst.size() != out.insts.size()) {
             err = path + ": series '" + metric + "' has " +
                   std::to_string(dst.size()) + " values for " +
@@ -1378,9 +1388,12 @@ loadProvenance(const std::string &path,
 const char *
 defaultThresholdsText()
 {
-    // Built-in gates over the robust end-to-end metrics. Deliberately
-    // no percentile gauges here: log-bucket percentiles quantize, so a
-    // one-bucket shift would trip a tight relative gate spuriously.
+    // The rules of tools/report/thresholds.txt in its order, so a diff
+    // without --thresholds gates what CI's diffs gate. That includes
+    // the mct.audit.* percentile gates: mct-mode runs are
+    // deterministic, so one log-bucket move there is a real change
+    // (the file explains each slack). Thresholds.DefaultsMatchFile in
+    // test_report keeps the two copies equal.
     return R"(# Default mct_report regression gates.
 metric sim.objective.ipc
   direction higher
@@ -1403,6 +1416,25 @@ metric cache.*.hit_rate
   rel 0.02
   abs 0.005
 
+metric mct.audit.err.*.p90
+  direction lower
+  rel 0.5
+  abs 0.05
+
+metric mct.audit.err.*.p50
+  direction lower
+  rel 0.5
+  abs 0.05
+
+metric mct.audit.regret.cum
+  direction lower
+  rel 1.0
+  abs 0.1
+
+metric mct.audit.closed
+  direction higher
+  rel 0.0
+
 metric alert.count.critical
   direction lower
   rel 0.0
@@ -1411,6 +1443,10 @@ metric alert.count.warn
   direction lower
   rel 0.0
   abs 1.0
+
+metric sim.mips
+  direction higher
+  rel 0.85
 
 metric sim.fleet.runs
   direction higher
