@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/instrument.hh"
 #include "common/logging.hh"
@@ -19,31 +20,30 @@ Cache::Cache(const CacheParams &params)
     sets = p.sizeBytes / lineBytes / p.ways;
     if (sets == 0 || (sets & (sets - 1)) != 0)
         mct_fatal("Cache ", p.name, ": set count must be a power of two");
+    setShift = static_cast<unsigned>(std::countr_zero(sets));
     lines.resize(sets * p.ways);
     posHits.assign(p.ways, 0);
 }
 
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / lineBytes) & (sets - 1);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr / lineBytes / sets;
-}
-
 Cache::Line *
-Cache::find(Addr addr)
+Cache::find(std::uint64_t s, Addr tag)
 {
-    const std::uint64_t s = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines[s * p.ways];
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+    Line *set = setAt(s);
+    const std::uint64_t want = tag | validBit;
+    constexpr std::uint64_t flags = dirtyBit | eagerCleanBit;
+    // Every way of a block of up to 64 is compared into a mask, the
+    // highest way first, so bit w is way w; the lowest set bit is the
+    // first match.
+    for (unsigned base = 0; base < p.ways; base += 64) {
+        const Line *block = set + base;
+        std::uint64_t match = 0;
+        for (unsigned w = std::min(p.ways - base, 64u); w-- > 0;) {
+            match = (match << 1) |
+                    static_cast<std::uint64_t>((block[w].word & ~flags) ==
+                                               want);
+        }
+        if (match)
+            return &set[base + std::countr_zero(match)];
     }
     return nullptr;
 }
@@ -51,21 +51,61 @@ Cache::find(Addr addr)
 const Cache::Line *
 Cache::find(Addr addr) const
 {
-    return const_cast<Cache *>(this)->find(addr);
+    return const_cast<Cache *>(this)->find(setIndex(addr), tagOf(addr));
 }
 
 unsigned
-Cache::stackPosition(const Line &line) const
+Cache::stackPosition(const Line *set, std::uint64_t stamp) const
 {
-    const std::size_t idx = static_cast<std::size_t>(&line - &lines[0]);
-    const std::size_t setBase = idx - (idx % p.ways);
+    // The line itself never counts: its stamp is not above its own.
     unsigned pos = 0;
     for (unsigned w = 0; w < p.ways; ++w) {
-        const Line &other = lines[setBase + w];
-        if (&other != &line && other.valid && other.lastUse > line.lastUse)
-            ++pos;
+        pos += static_cast<unsigned>(set[w].word >> 63) &
+               static_cast<unsigned>(set[w].lastUse > stamp);
     }
     return pos;
+}
+
+Cache::Line &
+Cache::evict(std::uint64_t s, Victim &victim)
+{
+    // The lowest invalid way, else the lowest way with the smallest
+    // stamp. One pass finds whether a way is invalid and the smallest
+    // stamp; a downward pass keeps the last, so lowest, way that
+    // qualifies.
+    Line *set = setAt(s);
+    bool anyInvalid = false;
+    std::uint64_t low = ~0ULL;
+    for (unsigned w = 0; w < p.ways; ++w) {
+        anyInvalid |= !(set[w].word & validBit);
+        low = std::min(low, set[w].lastUse);
+    }
+    unsigned way = 0;
+    if (anyInvalid) {
+        for (unsigned w = p.ways; w-- > 0;)
+            way = (set[w].word & validBit) ? way : w;
+    } else {
+        for (unsigned w = p.ways; w-- > 0;)
+            way = set[w].lastUse == low ? w : way;
+    }
+    Line &slot = set[way];
+    if (!anyInvalid) {
+        const bool dirty = (slot.word & dirtyBit) != 0;
+        ++st.evictions;
+        st.dirtyEvictions += dirty;
+        victim.valid = true;
+        victim.dirty = dirty;
+        victim.addr = lineAddr(slot, s);
+    }
+    return slot;
+}
+
+void
+Cache::markDirty(Line &line)
+{
+    if ((line.word & (dirtyBit | eagerCleanBit)) == eagerCleanBit)
+        ++st.rewrites;
+    line.word = (line.word & ~eagerCleanBit) | dirtyBit;
 }
 
 bool
@@ -76,48 +116,20 @@ Cache::access(Addr addr, bool write, Victim &victim)
         decayHistogram();
     victim = Victim{};
 
-    if (Line *line = find(addr)) {
+    const std::uint64_t s = setIndex(addr);
+    if (Line *line = find(s, tagOf(addr))) {
         ++st.hits;
-        ++posHits[stackPosition(*line)];
+        ++posHits[stackPosition(setAt(s), line->lastUse)];
         line->lastUse = ++useCounter;
-        if (write) {
-            if (line->eagerClean && !line->dirty)
-                ++st.rewrites;
-            line->dirty = true;
-            line->eagerClean = false;
-        }
+        if (write)
+            markDirty(*line);
         return true;
     }
 
     // Miss: install, evicting the LRU way (preferring invalid ways).
-    const std::uint64_t s = setIndex(addr);
-    Line *base = &lines[s * p.ways];
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-    }
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < p.ways; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
-        }
-        ++st.evictions;
-        if (slot->dirty)
-            ++st.dirtyEvictions;
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.addr = (slot->tag * sets +
-                       (static_cast<Addr>(s))) * lineBytes;
-    }
-    slot->tag = tagOf(addr);
-    slot->valid = true;
-    slot->dirty = write;
-    slot->eagerClean = false;
-    slot->lastUse = ++useCounter;
+    Line &slot = evict(s, victim);
+    slot.word = tagOf(addr) | validBit | (write ? dirtyBit : 0);
+    slot.lastUse = ++useCounter;
     return false;
 }
 
@@ -125,47 +137,20 @@ void
 Cache::writeback(Addr addr, Victim &victim)
 {
     victim = Victim{};
-    if (Line *line = find(addr)) {
-        if (line->eagerClean && !line->dirty)
-            ++st.rewrites;
-        line->dirty = true;
-        line->eagerClean = false;
+    const std::uint64_t s = setIndex(addr);
+    if (Line *line = find(s, tagOf(addr))) {
+        markDirty(*line);
         // A writeback does not constitute a use for recency purposes;
         // the line keeps its stack position.
         return;
     }
     // Write-allocate the incoming dirty line.
-    const std::uint64_t s = setIndex(addr);
-    Line *base = &lines[s * p.ways];
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-    }
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < p.ways; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
-        }
-        ++st.evictions;
-        if (slot->dirty)
-            ++st.dirtyEvictions;
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.addr = (slot->tag * sets +
-                       (static_cast<Addr>(s))) * lineBytes;
-    }
-    slot->tag = tagOf(addr);
-    slot->valid = true;
-    slot->dirty = true;
-    slot->eagerClean = false;
+    Line &slot = evict(s, victim);
+    slot.word = tagOf(addr) | validBit | dirtyBit;
     // Inserted near the LRU end: writeback-allocated lines are not
     // expected to be re-referenced soon.
-    slot->lastUse = useCounter > lines.size() ? useCounter - lines.size()
-                                              : 0;
+    slot.lastUse = useCounter > lines.size() ? useCounter - lines.size()
+                                             : 0;
 }
 
 bool
@@ -178,7 +163,7 @@ bool
 Cache::isDirty(Addr addr) const
 {
     const Line *line = find(addr);
-    return line && line->dirty;
+    return line && (line->word & dirtyBit);
 }
 
 unsigned
@@ -222,17 +207,16 @@ Cache::collectEagerCandidates(int eagerThreshold, unsigned maxCount,
          ++visited) {
         const std::uint64_t s = scanCursor;
         scanCursor = (scanCursor + 1) & (sets - 1);
-        Line *base = &lines[s * p.ways];
+        Line *set = setAt(s);
         for (unsigned w = 0; w < p.ways && found < maxCount; ++w) {
-            Line &line = base[w];
-            if (!line.valid || !line.dirty)
+            Line &line = set[w];
+            if ((line.word & (validBit | dirtyBit)) != (validBit | dirtyBit))
                 continue;
-            if (stackPosition(line) < p.ways - dead)
+            if (stackPosition(set, line.lastUse) < p.ways - dead)
                 continue;
-            line.dirty = false;
-            line.eagerClean = true;
+            line.word = (line.word & ~dirtyBit) | eagerCleanBit;
             ++st.eagerCleaned;
-            out.push_back((line.tag * sets + s) * lineBytes);
+            out.push_back(lineAddr(line, s));
             ++found;
         }
     }
@@ -265,9 +249,20 @@ Cache::io(Ar &ar)
 {
     ar.check(lines.size(), "checkpoint cache geometry mismatch: ", p.name);
     for (Line &line : lines) {
-        ar.u64(line.tag);
-        ar.flag(line.valid, line.dirty, line.eagerClean);
+        // The unpacked fields; a tag that reaches the flag bits fails
+        // the stream.
+        std::uint64_t tag = line.word & (tagLimit - 1);
+        bool valid = line.word & validBit;
+        bool dirty = line.word & dirtyBit;
+        bool eagerClean = line.word & eagerCleanBit;
+        ar.u64Below(tag, tagLimit);
+        ar.flag(valid, dirty, eagerClean);
         ar.u64(line.lastUse);
+        if constexpr (Ar::reading) {
+            line.word = tag | (valid ? validBit : 0) |
+                        (dirty ? dirtyBit : 0) |
+                        (eagerClean ? eagerCleanBit : 0);
+        }
     }
     ar.check(posHits.size(), "checkpoint cache way-count mismatch: ",
              p.name);

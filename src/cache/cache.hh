@@ -7,6 +7,27 @@
  * least-recently-used stack positions are considered "useless" when
  * they contribute less than 1/eager_threshold of all hits, and dirty
  * lines residing there may be written back to NVM early.
+ *
+ * Layout: a set is `ways` consecutive 16-byte lines. Each line holds
+ * one word with the tag in bits 0-60 and the valid (63), dirty (62)
+ * and eager-clean (61) flags above it, then the u64 LRU stamp. Every
+ * reachable tag is below 2^58 (a 64-bit address over at least 64-byte
+ * lines), so the flags never meet a tag; a checkpoint that restores a
+ * tag of 2^61 or more fails its stream instead of being truncated.
+ * The checkpoint holds the unpacked fields: a u64 tag, three flags and
+ * the u64 stamp per line.
+ *
+ * Way scans read every way and take no branch per way on what they
+ * find; the order of their answers is part of the simulated behaviour:
+ * - a lookup returns the lowest way holding the tag (first match
+ *   wins, also when a restored set holds it twice);
+ * - the victim is the lowest invalid way, else the lowest way with the
+ *   smallest stamp (first minimum wins: a writeback allocation's
+ *   stamp, useCounter minus the line count or 0, can tie, and a
+ *   restored set need not hold its valid ways first);
+ * - a line's stack position counts the valid ways with a larger stamp.
+ * tests/ref holds the cache these rules came from, and
+ * test_cache_lockstep holds this one to it.
  */
 
 #ifndef MCT_CACHE_CACHE_HH
@@ -129,17 +150,23 @@ class Cache
     void io(Ar &ar);
 
   private:
+    /** One way: the tag and its flags in one word, then the stamp. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool eagerClean = false; // cleaned by an eager writeback
+        std::uint64_t word = 0;
         std::uint64_t lastUse = 0;
     };
 
+    static constexpr std::uint64_t validBit = 1ULL << 63;
+    static constexpr std::uint64_t dirtyBit = 1ULL << 62;
+    /** Cleaned by an eager writeback; a later write is a rewrite. */
+    static constexpr std::uint64_t eagerCleanBit = 1ULL << 61;
+    /** Tags are below this; the flag bits sit above it. */
+    static constexpr std::uint64_t tagLimit = 1ULL << 61;
+
     CacheParams p;
     std::uint64_t sets;
+    unsigned setShift; // log2(sets)
     std::vector<Line> lines;
     std::vector<std::uint64_t> posHits;
     std::uint64_t useCounter = 0;
@@ -150,13 +177,33 @@ class Cache
     /** Histogram half-life in accesses, so phases age out. */
     static constexpr std::uint64_t decayPeriod = 1 << 16;
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Line *find(Addr addr);
+    std::uint64_t setIndex(Addr addr) const
+    {
+        return (addr / lineBytes) & (sets - 1);
+    }
+    Addr tagOf(Addr addr) const { return addr / lineBytes >> setShift; }
+    Line *setAt(std::uint64_t s) { return &lines[s * p.ways]; }
+
+    /** The line of set @p s holding @p tag, or nullptr. */
+    Line *find(std::uint64_t s, Addr tag);
+    /** The line holding @p addr, or nullptr. */
     const Line *find(Addr addr) const;
 
-    /** LRU stack depth of the given line within its set (0 = MRU). */
-    unsigned stackPosition(const Line &line) const;
+    /** LRU stack depth of a line stamped @p stamp in @p set (0 = MRU). */
+    unsigned stackPosition(const Line *set, std::uint64_t stamp) const;
+
+    /** The way a miss in set @p s replaces; a valid line there is
+     *  reported in @p victim and counted as an eviction. */
+    Line &evict(std::uint64_t s, Victim &victim);
+
+    /** Dirty @p line; one an eager writeback cleaned is a rewrite. */
+    void markDirty(Line &line);
+
+    /** Byte address of @p line, which sits in set @p s. */
+    Addr lineAddr(const Line &line, std::uint64_t s) const
+    {
+        return (((line.word & (tagLimit - 1)) << setShift) | s) * lineBytes;
+    }
 
     void decayHistogram();
 };

@@ -78,8 +78,10 @@ class Rng
     {
         if (n == 0)
             mct_panic("Rng::below(0)");
-        // Rejection-free modulo is fine at our scales.
-        return next() % n;
+        // Rejection-free modulo is fine at our scales. A power of two
+        // takes the same low bits by a mask.
+        const std::uint64_t r = next();
+        return (n & (n - 1)) == 0 ? r & (n - 1) : r % n;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */

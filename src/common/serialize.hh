@@ -17,12 +17,13 @@
  *   seq / seq32 (container, each)             u64 / u32 count + items
  *   check (expected, message...)              geometry that must match
  *   ring (head, held, cap)                    bounded ring cursors
+ *   u64Below (field, limit)                   a u64 held in fewer bits
  *
  * The call names the wire width, not the member's type: a uint16_t
  * disturb count travels through u32 and an int threshold through i64.
- * Reading never trusts the stream: a count larger than the bytes left
- * or a ring cursor outside its ring fails the stream instead of
- * allocating or indexing, and once the stream has failed every read
+ * Reading never trusts the stream: a count larger than the bytes left,
+ * a ring cursor outside its ring or a value past its field's limit
+ * fails the stream instead of allocating, indexing or truncating, and once the stream has failed every read
  * yields zero and every check is a no-op, so the first failure
  * reaches the caller's ok().
  */
@@ -144,6 +145,9 @@ class Serializer
         putU64(held);
     }
 
+    /** Write a u64 the reader requires to be below a limit. */
+    void u64Below(std::uint64_t v, std::uint64_t) { putU64(v); }
+
     /** The encoded bytes so far. */
     const std::string &data() const { return buf; }
 
@@ -248,6 +252,20 @@ class Deserializer
             good = false;
         if (!good)
             head = held = 0;
+    }
+
+    /**
+     * Read a u64 into a field that holds only values below @p limit:
+     * a larger value fails the stream and reads as 0.
+     */
+    void
+    u64Below(std::uint64_t &v, std::uint64_t limit)
+    {
+        v = getU64();
+        if (v >= limit)
+            good = false;
+        if (!good)
+            v = 0;
     }
 
     /** False once any read ran past the end of the buffer. */

@@ -136,7 +136,6 @@ Core::executeMemOp()
     const std::uint64_t id = makeReadId();
     if (spans)
         spans->begin(id, pendingOp.addr, pendingOp.isWrite, cpuTick);
-    AccessOutcome outcome;
     hier.access(pendingOp.addr, pendingOp.isWrite, outcome);
 
     for (Addr wb : outcome.writebacks)
@@ -285,7 +284,8 @@ template <class Ar>
 void
 Core::io(Ar &ar)
 {
-    // eagerScratch is per-call scratch, cleared before every use.
+    // eagerScratch and outcome are per-call scratch, cleared before
+    // every use.
     rng.io(ar);
     ar.u64(cpuTick, nextReadSeq);
     // The MSHR set is unordered; it travels sorted so identical state

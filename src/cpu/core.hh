@@ -180,6 +180,7 @@ class Core
 
     CoreStats st;
     std::vector<Addr> eagerScratch;
+    AccessOutcome outcome; // the current access's; refilled by each
 
     std::uint64_t makeReadId();
 

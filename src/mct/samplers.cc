@@ -1,6 +1,8 @@
 #include "mct/samplers.hh"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -104,20 +106,19 @@ std::vector<std::size_t>
 indicesInSpace(const std::vector<MellowConfig> &space,
                const std::vector<MellowConfig> &samples)
 {
+    // Each key maps to its first index, as a linear scan would find.
+    std::unordered_map<std::string, std::size_t> first;
+    first.reserve(space.size());
+    for (std::size_t i = 0; i < space.size(); ++i)
+        first.emplace(configKey(space[i]), i);
     std::vector<std::size_t> out;
     out.reserve(samples.size());
     for (const auto &s : samples) {
         const std::string key = configKey(s);
-        bool found = false;
-        for (std::size_t i = 0; i < space.size(); ++i) {
-            if (configKey(space[i]) == key) {
-                out.push_back(i);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+        const auto it = first.find(key);
+        if (it == first.end())
             mct_fatal("indicesInSpace: sample not in space: ", key);
+        out.push_back(it->second);
     }
     return out;
 }

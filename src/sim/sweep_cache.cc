@@ -54,7 +54,7 @@ configKey(const MellowConfig &cfg)
 }
 
 SweepCache::SweepCache(const EvalParams &evalParams, std::string csvPath)
-    : ep(evalParams), path(std::move(csvPath))
+    : ep(evalParams), fp(fingerprint(evalParams)), path(std::move(csvPath))
 {
     load();
 }
@@ -76,6 +76,15 @@ SweepCache::defaultPath()
 #endif
 }
 
+std::string
+SweepCache::fingerprint(const EvalParams &ep)
+{
+    std::ostringstream os;
+    os << "w" << ep.warmupInsts << "_m" << ep.measureInsts << "_s"
+       << ep.sys.seed << "_wl" << static_cast<int>(ep.sys.nvm.wearLevelMode);
+    return os.str();
+}
+
 void
 SweepCache::load()
 {
@@ -85,27 +94,39 @@ SweepCache::load()
     if (!csv.load(path))
         return;
     for (const auto &row : csv.data()) {
-        // A truncated or corrupted file must not abort the run: skip
-        // rows that fail to parse and let misses recompute them.
-        if (row.size() != 5) {
-            ++nRecovered;
-            continue;
-        }
+        // Rows are fingerprint, app, config and three metrics. The old
+        // format lacks the fingerprint: its rows' parameters are
+        // unknown, so they are dropped. A truncated or corrupted file
+        // must not abort the run: skip rows that fail to parse and let
+        // misses recompute them.
+        const bool unkeyed = row.size() == 5;
+        const std::size_t at = unkeyed ? 2 : 3;
         Metrics m;
-        if (!CsvFile::tryDouble(row[2], m.ipc) ||
-            !CsvFile::tryDouble(row[3], m.lifetimeYears) ||
-            !CsvFile::tryDouble(row[4], m.energyJ) ||
+        if ((row.size() != 6 && !unkeyed) ||
+            !CsvFile::tryDouble(row[at], m.ipc) ||
+            !CsvFile::tryDouble(row[at + 1], m.lifetimeYears) ||
+            !CsvFile::tryDouble(row[at + 2], m.energyJ) ||
             !std::isfinite(m.ipc) || !std::isfinite(m.lifetimeYears) ||
             !std::isfinite(m.energyJ)) {
             ++nRecovered;
             continue;
         }
-        table[row[0] + "|" + row[1]] = m;
+        if (unkeyed)
+            ++nUnkeyed;
+        else if (row[0] == fp)
+            table[row[1] + "|" + row[2]] = m;
+        else
+            foreign.push_back(row);
     }
     if (nRecovered) {
         mct_warn("SweepCache: skipped ", nRecovered,
                  " corrupt row(s) in ", path,
                  "; they will be recomputed on demand");
+    }
+    if (nUnkeyed) {
+        mct_warn("SweepCache: dropped ", nUnkeyed, " row(s) in ", path,
+                 " that name no evaluation parameters (the old format);"
+                 " they will be recomputed on demand");
     }
     mct_inform("SweepCache: loaded ", table.size(), " entries from ",
                path);
@@ -126,9 +147,11 @@ SweepCache::save()
         ipc << m.ipc;
         life << m.lifetimeYears;
         en << m.energyJ;
-        csv.row({key.substr(0, bar), key.substr(bar + 1), ipc.str(),
+        csv.row({fp, key.substr(0, bar), key.substr(bar + 1), ipc.str(),
                  life.str(), en.str()});
     }
+    for (const auto &row : foreign)
+        csv.row(row);
     if (!csv.save(path))
         mct_warn("SweepCache: could not write ", path);
     else

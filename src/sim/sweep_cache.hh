@@ -25,15 +25,16 @@ namespace mct
 std::string configKey(const MellowConfig &cfg);
 
 /**
- * Evaluation memoizer with CSV persistence.
+ * Evaluation memoizer with CSV persistence. Each row of the file
+ * carries the fingerprint of the EvalParams that made it: a cache
+ * serves only rows of its own fingerprint, and keeps the others in
+ * the file when it saves.
  */
 class SweepCache
 {
   public:
     /**
-     * @param ep Evaluation parameters (identical for all entries; the
-     *        cache file is only valid for one EvalParams set, which
-     *        the default bench setup guarantees).
+     * @param ep Evaluation parameters of every entry this cache serves.
      * @param path CSV backing file; empty for in-memory only.
      */
     explicit SweepCache(const EvalParams &ep, std::string path = "");
@@ -64,6 +65,13 @@ class SweepCache
      */
     std::size_t recoveredLoads() const { return nRecovered; }
 
+    /**
+     * Well-formed rows of the old format, which names no evaluation
+     * parameters: dropped at load (and from the file at the next
+     * save), so they recompute on demand.
+     */
+    std::size_t unkeyedLoads() const { return nUnkeyed; }
+
     /** Persist now (no-op for in-memory caches). */
     void save();
 
@@ -74,13 +82,20 @@ class SweepCache
      *  overridable via the MCT_SWEEP_CACHE environment variable. */
     [[nodiscard]] static std::string defaultPath();
 
+    /** The row key of @p ep: every field that mct_sim's --warmup,
+     *  --measure, --seed and --startgap set. */
+    [[nodiscard]] static std::string fingerprint(const EvalParams &ep);
+
   private:
     EvalParams ep;
+    std::string fp;
     std::string path;
     std::unordered_map<std::string, Metrics> table;
+    std::vector<std::vector<std::string>> foreign; // other fingerprints
     std::size_t nMisses = 0;
     std::size_t unsaved = 0;
     std::size_t nRecovered = 0;
+    std::size_t nUnkeyed = 0;
 
     void load();
 };

@@ -157,6 +157,9 @@ class PatternWorkload : public Workload
     /** Index of the phase currently generating (for tests). */
     std::size_t currentPhase() const { return phaseIdx; }
 
+    /** The phases this generator cycles through. */
+    const std::vector<PhaseSpec> &phaseList() const { return phases; }
+
   private:
     WorkloadTraits tr;
     std::vector<PhaseSpec> phases;
@@ -171,7 +174,14 @@ class PatternWorkload : public Workload
     bool rmwPending = false;
     Addr rmwAddr = 0;
 
+    // Derived from the phase and the clock; rebuilt by
+    // derivePhaseConstants(), never checkpointed.
+    double gapLambda[2] = {0.0, 0.0}; // [bursting]; 0 draws no gap
+    double burstEdge = 0.0;           // burstDuty * burstPeriod
+    std::uint64_t burstPos = 0;       // totalInsts % burstPeriod
+
     void enterPhase(std::size_t idx);
+    void derivePhaseConstants();
     const PatternSpec &pat() const { return phases[phaseIdx].pattern; }
 
     template <class Ar>

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "common/alerts.hh"
 #include "common/atomic_file.hh"
 #include "common/instrument.hh"
@@ -750,6 +751,44 @@ TEST(CheckpointHostile, RingCursorsAreBoundedOnRestore)
     EXPECT_FALSE(restorePatched(aa, ab, 74, 1000));
     ab.observe(1000, hot);
     EXPECT_EQ(ab.log().size(), 1u);
+}
+
+TEST(CheckpointHostile, CacheTagPastTheLineLayoutFailsTheStream)
+{
+    // A cache line packs its flags above bit 60 of the tag word, so a
+    // restored tag of 2^61 or more cannot be held: the stream fails
+    // instead of the tag being truncated. The largest tag that fits
+    // restores and checkpoints back unchanged.
+    const CacheParams cp{"c", 4 * 2 * lineBytes, 2};
+    Cache a(cp), b(cp);
+    Victim v;
+    (void)a.access(0x40, true, v);
+    constexpr std::size_t firstTag = 8; // after the line count
+    EXPECT_FALSE(restorePatched(a, b, firstTag, 1ULL << 61));
+    EXPECT_FALSE(restorePatched(a, b, firstTag, ~0ULL));
+    ASSERT_TRUE(restorePatched(a, b, firstTag, (1ULL << 61) - 1));
+    Serializer s;
+    b.io(s);
+    Deserializer d(s.data());
+    std::uint64_t count = 0, tag = 0;
+    d.u64(count, tag);
+    EXPECT_EQ(tag, (1ULL << 61) - 1);
+
+    // Inside a whole system, where --resume reports a failed stream
+    // as a malformed payload.
+    SystemParams sp;
+    System sa("lbm", sp, staticBaselineConfig());
+    sa.run(20 * 1000);
+    std::string bytes = stateBytes(sa);
+    Serializer l1;
+    sa.caches().io(l1);
+    const std::size_t at = bytes.find(l1.data());
+    ASSERT_NE(at, std::string::npos);
+    patchU64(bytes, at + firstTag, 1ULL << 62);
+    System sb("lbm", sp, staticBaselineConfig());
+    Deserializer ds(bytes);
+    sb.deserialize(ds);
+    EXPECT_FALSE(ds.ok());
 }
 
 TEST(CheckpointHostile, OpenSpanTableIsSortedOnRestore)

@@ -186,15 +186,16 @@ TEST(Csv, TryDoubleAcceptsNumbersRejectsGarbage)
 TEST(SweepCacheFaults, CorruptRowsAreSkippedAndRecomputed)
 {
     const std::string path = "test_faults_cache.csv";
+    EvalParams ep;
+    const std::string fp = SweepCache::fingerprint(ep);
     {
         std::ofstream os(path);
-        os << "lbm,k1,0.5,2.0,1.0\n";       // good
-        os << "lbm,k2,abc,2.0,1.0\n";       // non-numeric
-        os << "lbm,k3,inf,2.0,1.0\n";       // non-finite
-        os << "lbm,k4,0.4\n";               // wrong arity
-        os << "lbm,k5,0.6,nan,1.0\n";       // NaN lifetime
+        os << fp << ",lbm,k1,0.5,2.0,1.0\n";       // good
+        os << fp << ",lbm,k2,abc,2.0,1.0\n";       // non-numeric
+        os << fp << ",lbm,k3,inf,2.0,1.0\n";       // non-finite
+        os << fp << ",lbm,k4,0.4\n";               // wrong arity
+        os << fp << ",lbm,k5,0.6,nan,1.0\n";       // NaN lifetime
     }
-    EvalParams ep;
     SweepCache cache(ep, path);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.recoveredLoads(), 4u);
@@ -204,10 +205,11 @@ TEST(SweepCacheFaults, CorruptRowsAreSkippedAndRecomputed)
 TEST(SweepCacheFaults, InjectorCorruptionSurvivesReload)
 {
     const std::string path = "test_faults_cache2.csv";
+    const std::string fp = SweepCache::fingerprint(EvalParams{});
     {
         std::ofstream os(path);
         for (int i = 0; i < 40; ++i) {
-            os << "lbm,cfg" << i << "," << 0.1 * i << ",2.0,1.0\n";
+            os << fp << ",lbm,cfg" << i << "," << 0.1 * i << ",2.0,1.0\n";
         }
     }
     FaultInjector inj(mustParse("sweep_corrupt"), 5);

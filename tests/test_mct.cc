@@ -220,6 +220,27 @@ TEST(Sampler, SamplesLieInsideLearningSpace)
         EXPECT_EQ(configKey(space[idx[k]]), configKey(samples[k]));
 }
 
+TEST(Sampler, IndicesInSpaceMatchALinearScan)
+{
+    const auto space = enumerateNoQuotaSpace();
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const auto samples = featureBasedSamples(seed);
+        const auto idx = indicesInSpace(space, samples);
+        ASSERT_EQ(idx.size(), samples.size());
+        for (std::size_t k = 0; k < samples.size(); ++k) {
+            std::size_t linear = 0;
+            while (configKey(space[linear]) != configKey(samples[k]))
+                ++linear;
+            EXPECT_EQ(idx[k], linear)
+                << "seed " << seed << ", sample " << k;
+        }
+    }
+    // A key listed twice maps to its first index.
+    std::vector<MellowConfig> repeated = {space[4], space[9], space[4]};
+    EXPECT_EQ(indicesInSpace(repeated, {space[4], space[9]}),
+              (std::vector<std::size_t>{0, 1}));
+}
+
 TEST(Sampler, RandomSamplesUniqueAndInSpace)
 {
     const auto space = enumerateNoQuotaSpace();

@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/instrument.hh"
 #include "sim/multicore.hh"
@@ -192,6 +195,49 @@ TEST(SweepCache, PersistsAndReloads)
     const Metrics again = reloaded.get("zeusmp", defaultConfig());
     EXPECT_EQ(reloaded.misses(), 0u);
     EXPECT_DOUBLE_EQ(again.ipc, first.ipc);
+    std::remove(path.c_str());
+}
+
+TEST(SweepCache, RowsOfOtherEvalParamsAreNotServed)
+{
+    const std::string path = "/tmp/mct_test_sweep_params.csv";
+    std::remove(path.c_str());
+    EvalParams a;
+    a.warmupInsts = 20000;
+    a.measureInsts = 40000;
+    EvalParams b = a;
+    b.measureInsts = 60000;
+    ASSERT_NE(SweepCache::fingerprint(a), SweepCache::fingerprint(b));
+    Metrics fromA, fromB;
+    {
+        SweepCache cache(a, path);
+        fromA = cache.get("zeusmp", defaultConfig());
+    } // saved on destruction
+    {
+        SweepCache cache(b, path);
+        EXPECT_EQ(cache.size(), 0u); // a's row is not b's
+        fromB = cache.get("zeusmp", defaultConfig());
+        EXPECT_EQ(cache.misses(), 1u);
+    }
+    // Each save kept the other's row; each side is served its own.
+    const std::vector<std::pair<EvalParams, Metrics>> sides = {
+        {a, fromA}, {b, fromB}};
+    for (const auto &[ep, want] : sides) {
+        SweepCache cache(ep, path);
+        EXPECT_EQ(cache.size(), 1u);
+        EXPECT_EQ(cache.get("zeusmp", defaultConfig()).ipc, want.ipc);
+        EXPECT_EQ(cache.misses(), 0u);
+    }
+    // A well-formed row of the old format names no parameters: it is
+    // dropped, and counted apart from corrupt rows.
+    {
+        std::ofstream os(path, std::ios::app);
+        os << "zeusmp,k9,0.5,2.0,1.0\n";
+    }
+    SweepCache cache(a, path);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.unkeyedLoads(), 1u);
+    EXPECT_EQ(cache.recoveredLoads(), 0u);
     std::remove(path.c_str());
 }
 
