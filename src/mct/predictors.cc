@@ -1,6 +1,7 @@
 #include "mct/predictors.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "ml/gradient_boosting.hh"
@@ -229,8 +230,9 @@ predictAllConfigsDetailed(PredictorKind kind, const TrainData &data)
         const ml::Matrix xs = gatherRows(xAll, data.sampleIdx);
         ml::GradientBoosting model;
         model.fit(xs, data.sampleY);
-        out.values = model.predictAll(xAll);
-        out.uncertainty = model.stagedSpreadAll(xAll);
+        ml::GradientBoosting::Staged staged = model.predictStaged(xAll);
+        out.values = std::move(staged.values);
+        out.uncertainty = std::move(staged.spread);
         out.attribution = model.featureImportance();
         if (out.attribution.size() < configDims)
             out.attribution.resize(configDims, 0.0);

@@ -82,14 +82,17 @@ struct MellowConfig
     /** The ratio forced during a wear-quota restricted slice. */
     static constexpr double quotaRatio = 4.0;
 
-    /** True when the configuration satisfies all constraints. */
+    /**
+     * True when the configuration satisfies all constraints. Each
+     * range is written as the test it must pass, so NaN fails it.
+     */
     bool
     valid() const
     {
-        if (fastLatency < 1.0 || fastLatency > 4.0)
+        if (!(fastLatency >= 1.0 && fastLatency <= 4.0))
             return false;
         if (usesSlowWrites() &&
-            (slowLatency < fastLatency || slowLatency > 4.0)) {
+            !(slowLatency >= fastLatency && slowLatency <= 4.0)) {
             return false;
         }
         if (fastCancellation && usesSlowWrites() && !slowCancellation)
@@ -100,7 +103,7 @@ struct MellowConfig
         }
         if (eagerWritebacks && (eagerThreshold < 4 || eagerThreshold > 32))
             return false;
-        if (wearQuota && (wearQuotaTarget < 4.0 || wearQuotaTarget > 10.0))
+        if (wearQuota && !(wearQuotaTarget >= 4.0 && wearQuotaTarget <= 10.0))
             return false;
         return true;
     }

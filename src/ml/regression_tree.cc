@@ -1,8 +1,6 @@
 #include "ml/regression_tree.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -12,34 +10,48 @@ namespace mct::ml
 
 void
 RegressionTree::fit(const Matrix &x, const Vector &y,
-                    const std::vector<std::size_t> &idxIn)
+                    const std::vector<std::size_t> &idx)
+{
+    Scratch s;
+    s.rows = idx;
+    if (s.rows.empty()) {
+        s.rows.resize(x.rows());
+        std::iota(s.rows.begin(), s.rows.end(), 0);
+    }
+    fit(x, y, s);
+}
+
+void
+RegressionTree::fit(const Matrix &x, const Vector &y, Scratch &s)
 {
     if (x.rows() == 0 || x.rows() != y.size())
         mct_fatal("RegressionTree::fit: bad shapes");
     nodes.clear();
+    height = 0;
     gains.assign(x.cols(), 0.0);
-    std::vector<std::size_t> idx = idxIn;
-    if (idx.empty()) {
-        idx.resize(x.rows());
-        std::iota(idx.begin(), idx.end(), 0);
-    }
-    build(x, y, idx, 0);
+    s.right.resize(s.rows.size());
+    s.keys.resize(s.rows.size());
+    build(x, y, s, 0, s.rows.size(), 0);
 }
 
-int
-RegressionTree::build(const Matrix &x, const Vector &y,
-                      std::vector<std::size_t> &idx, unsigned depth)
+std::uint32_t
+RegressionTree::build(const Matrix &x, const Vector &y, Scratch &s,
+                      std::size_t lo, std::size_t hi, unsigned depth)
 {
-    const int self = static_cast<int>(nodes.size());
+    const auto self = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back(Node{});
+    nodes[self].child[0] = nodes[self].child[1] = self;
+    height = std::max(height, depth);
+    std::size_t *const idx = s.rows.data() + lo;
+    const std::size_t count = hi - lo;
 
     double mean = 0.0;
-    for (auto i : idx)
-        mean += y[i];
-    mean /= static_cast<double>(idx.size());
+    for (std::size_t k = 0; k < count; ++k)
+        mean += y[idx[k]];
+    mean /= static_cast<double>(count);
     nodes[self].value = mean;
 
-    if (depth >= p.maxDepth || idx.size() < 2 * p.minSamplesLeaf)
+    if (depth >= p.maxDepth || count < 2 * p.minSamplesLeaf)
         return self;
 
     // Exact best split: minimize total squared error, evaluated via
@@ -49,30 +61,37 @@ RegressionTree::build(const Matrix &x, const Vector &y,
     double bestThresh = 0.0;
 
     double total = 0.0, totalSq = 0.0;
-    for (auto i : idx) {
-        total += y[i];
-        totalSq += y[i] * y[i];
+    for (std::size_t k = 0; k < count; ++k) {
+        const double yi = y[idx[k]];
+        total += yi;
+        totalSq += yi * yi;
     }
     const double sseParent =
-        totalSq - total * total / static_cast<double>(idx.size());
+        totalSq - total * total / static_cast<double>(count);
 
-    std::vector<std::size_t> order(idx);
+    // Each feature's sort starts from the order the previous one left
+    // (the first from the node's own), as gradient_boosting.hh says.
+    Scratch::Key *const keys = s.keys.data();
+    for (std::size_t k = 0; k < count; ++k)
+        keys[k].row = idx[k];
     for (std::size_t f = 0; f < x.cols(); ++f) {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return x(a, f) < x(b, f);
+        for (std::size_t k = 0; k < count; ++k)
+            keys[k].value = x(keys[k].row, f);
+        std::sort(keys, keys + count,
+                  [](const Scratch::Key &a, const Scratch::Key &b) {
+                      return a.value < b.value;
                   });
         double leftSum = 0.0, leftSq = 0.0;
-        for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-            const double yi = y[order[k]];
+        for (std::size_t k = 0; k + 1 < count; ++k) {
+            const double yi = y[keys[k].row];
             leftSum += yi;
             leftSq += yi * yi;
             const std::size_t nl = k + 1;
-            const std::size_t nr = order.size() - nl;
+            const std::size_t nr = count - nl;
             if (nl < p.minSamplesLeaf || nr < p.minSamplesLeaf)
                 continue;
-            const double xa = x(order[k], f);
-            const double xb = x(order[k + 1], f);
+            const double xa = keys[k].value;
+            const double xb = keys[k + 1].value;
             if (xb <= xa)
                 continue; // no separating threshold here
             const double rightSum = total - leftSum;
@@ -93,51 +112,43 @@ RegressionTree::build(const Matrix &x, const Vector &y,
     if (bestGain <= 1e-12)
         return self;
 
-    std::vector<std::size_t> leftIdx, rightIdx;
-    for (auto i : idx) {
+    // Stable partition in place: each child keeps its rows in this
+    // node's order, which is where its first sort starts.
+    std::size_t nl = 0, nr = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = idx[k];
         if (x(i, bestFeat) <= bestThresh)
-            leftIdx.push_back(i);
+            idx[nl++] = i;
         else
-            rightIdx.push_back(i);
+            s.right[nr++] = i;
     }
-    if (leftIdx.empty() || rightIdx.empty())
+    if (nl == 0 || nr == 0)
         return self;
+    std::copy(s.right.begin(), s.right.begin() + static_cast<long>(nr),
+              idx + nl);
 
-    nodes[self].leaf = false;
-    nodes[self].feature = bestFeat;
+    nodes[self].feature = static_cast<std::uint32_t>(bestFeat);
     nodes[self].threshold = bestThresh;
     gains[bestFeat] += bestGain;
-    const int l = build(x, y, leftIdx, depth + 1);
-    const int r = build(x, y, rightIdx, depth + 1);
-    nodes[self].left = l;
-    nodes[self].right = r;
+    const std::uint32_t l = build(x, y, s, lo, lo + nl, depth + 1);
+    const std::uint32_t r = build(x, y, s, lo + nl, hi, depth + 1);
+    nodes[self].child[0] = l;
+    nodes[self].child[1] = r;
     return self;
 }
 
-double
-RegressionTree::predict(const Vector &x) const
+void
+RegressionTree::predictBeforeFit()
 {
-    if (nodes.empty())
-        mct_fatal("RegressionTree::predict before fit");
-    int cur = 0;
-    while (!nodes[cur].leaf) {
-        cur = x[nodes[cur].feature] <= nodes[cur].threshold
-                  ? nodes[cur].left
-                  : nodes[cur].right;
-    }
-    return nodes[cur].value;
+    mct_fatal("RegressionTree::predict before fit");
 }
 
 Vector
 RegressionTree::predictAll(const Matrix &x) const
 {
     Vector out(x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        Vector row(x.cols());
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            row[c] = x(r, c);
-        out[r] = predict(row);
-    }
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        out[r] = predictRow(x.row(r));
     return out;
 }
 

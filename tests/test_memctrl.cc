@@ -470,6 +470,30 @@ TEST(MemController, QuotaRestrictionForcesSlowestWrites)
     EXPECT_GT(ctrl.stats().quotaWrites, 0u);
 }
 
+TEST(MellowConfig, ValidRejectsNaNFields)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    MellowConfig fast;
+    fast.fastLatency = nan;
+    EXPECT_FALSE(fast.valid());
+
+    MellowConfig slow;
+    slow.bankAware = true;
+    slow.slowLatency = 3.0;
+    ASSERT_TRUE(slow.valid());
+    slow.slowLatency = nan;
+    EXPECT_FALSE(slow.valid());
+    slow.slowLatency = 3.0;
+    slow.fastLatency = nan;
+    EXPECT_FALSE(slow.valid());
+
+    MellowConfig quota;
+    quota.wearQuota = true;
+    ASSERT_TRUE(quota.valid());
+    quota.wearQuotaTarget = nan;
+    EXPECT_FALSE(quota.valid());
+}
+
 TEST(MemController, SetConfigRejectsInvalid)
 {
     Rig rig;

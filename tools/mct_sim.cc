@@ -125,6 +125,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -195,8 +196,13 @@ struct Args
         return it == kv.end() ? dflt : it->second;
     }
 
+    /**
+     * A finite number flag (above zero when @p positive), or @p dflt
+     * when the flag is absent. Any other value, nan and inf included,
+     * is a fatal error naming the flag.
+     */
     double
-    getD(const std::string &k, double dflt) const
+    getD(const std::string &k, double dflt, bool positive = false) const
     {
         const auto it = kv.find(k);
         if (it == kv.end())
@@ -207,6 +213,10 @@ struct Args
             std::from_chars(s.data(), s.data() + s.size(), v);
         if (ec != std::errc() || end != s.data() + s.size())
             mct_fatal("--", k, " expects a number, got '", s, "'");
+        if (!std::isfinite(v))
+            mct_fatal("--", k, " must be finite, got '", s, "'");
+        if (positive && !(v > 0.0))
+            mct_fatal("--", k, " must be positive, got '", s, "'");
         return v;
     }
 
@@ -1387,7 +1397,7 @@ cmdMct(const Args &args)
     const auto total = args.getN<InstCount>("insts", 4 * 1000 * 1000);
 
     MctParams mp;
-    mp.objective.minLifetimeYears = args.getD("target", 8.0);
+    mp.objective.minLifetimeYears = args.getD("target", 8.0, true);
     mp.auditEvery = tel.auditEvery;
     const std::string model = args.get("model", "gbt");
     if (model == "gbt")
@@ -1497,6 +1507,10 @@ cmdSweep(const Args &args)
         return 2;
     }
     const std::string spaceName = args.get("space", "noquota");
+    if (spaceName != "full" && spaceName != "noquota") {
+        std::fprintf(stderr, "--space must be full|noquota\n");
+        return 2;
+    }
     const auto space = spaceName == "full" ? enumerateSpace()
                                            : enumerateNoQuotaSpace();
     const EvalParams ep = evalFromArgs(args);
