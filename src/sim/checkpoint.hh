@@ -28,6 +28,7 @@
 #ifndef MCT_SIM_CHECKPOINT_HH
 #define MCT_SIM_CHECKPOINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -114,6 +115,12 @@ class CheckpointStore
     std::uint64_t resumes() const { return nResumes; }
 
   private:
+    /** Opens the slot reader to the lockstep test. */
+    friend struct CheckpointSlotAccess;
+
+    /** Bytes per read of a slot file. */
+    static constexpr std::size_t readChunk = 64 * 1024;
+
     std::string base;
     std::string slots[2];
     std::uint64_t nextSeq = 1;
@@ -125,8 +132,8 @@ class CheckpointStore
 
     /** Decode one slot; ok=false with error when invalid/missing.
      *  The payload is copied out only when @p withPayload is set. */
-    CheckpointLoadResult tryLoadSlot(const std::string &file,
-                                     bool withPayload) const;
+    static CheckpointLoadResult tryLoadSlot(const std::string &file,
+                                            bool withPayload);
 
     /** Rename a failed slot to <slot>.corrupt and count it. */
     void quarantine(const std::string &file);
