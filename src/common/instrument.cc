@@ -1,6 +1,7 @@
 #include "common/instrument.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -361,6 +363,64 @@ chromeName(JsonWriter &w, int pid, int tid, std::string_view name)
     w.endObject();
 }
 
+/*
+ * The event and span writers format each record straight into one
+ * chunk string: keys go in as literals with their quotes, colon and
+ * comma, and the names between quotes come from toString(),
+ * traceArgNames() and spanStageTrack(), which need no escaping.
+ */
+
+/** Bytes a record writer collects before handing them to its stream. */
+constexpr std::size_t chunkBytes = 64 * 1024;
+
+/** The opening of a Chrome trace-event document, up to its first
+ *  event. */
+constexpr std::string_view chromeDocOpen =
+    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+
+/** A chunk string with room for one chunk and its last record. */
+std::string
+chunkBuffer()
+{
+    std::string buf;
+    buf.reserve(chunkBytes + 1024);
+    return buf;
+}
+
+/** Hand @p buf to @p os once it holds a chunk, or, when @p last,
+ *  whatever it holds. */
+void
+passChunk(std::ostream &os, std::string &buf, bool last = false)
+{
+    if (buf.size() < chunkBytes && !last)
+        return;
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+/** Append @p v in decimal. */
+void
+appendU64(std::string &buf, std::uint64_t v)
+{
+    char num[20];
+    buf.append(num, std::to_chars(num, num + sizeof num, v).ptr);
+}
+
+/** Append @p e's three arguments as "name":value members, the first
+ *  after @p open and the others after a comma. */
+void
+appendArgs(std::string &buf, const TraceEvent &e, char open)
+{
+    const auto names = traceArgNames(e.type);
+    for (std::size_t a = 0; a < names.size(); ++a) {
+        buf += a == 0 ? open : ',';
+        buf += '"';
+        buf += names[a];
+        buf += "\":";
+        appendJsonNumber(buf, e.args[a]);
+    }
+}
+
 } // namespace
 
 // --------------------------------------------------------------------
@@ -465,51 +525,51 @@ EventTrace::countsByType() const
 void
 EventTrace::writeJsonl(std::ostream &os) const
 {
-    JsonWriter w(os);
-    forEach([&w, &os](const TraceEvent &e) {
-        const auto names = traceArgNames(e.type);
-        w.beginObject();
-        w.kv("ev", toString(e.type));
-        w.kv("inst", static_cast<std::uint64_t>(e.inst));
-        for (std::size_t a = 0; a < names.size(); ++a)
-            w.kv(names[a], e.args[a]);
-        w.endObject();
-        os << '\n';
+    std::string buf = chunkBuffer();
+    forEach([&os, &buf](const TraceEvent &e) {
+        buf += "{\"ev\":\"";
+        buf += toString(e.type);
+        buf += "\",\"inst\":";
+        appendU64(buf, e.inst);
+        appendArgs(buf, e, ',');
+        buf += "}\n";
+        passChunk(os, buf);
     });
+    passChunk(os, buf, true);
 }
 
 void
 EventTrace::writeChromeTrace(std::ostream &os) const
 {
-    writeChromeDoc(os, [this](JsonWriter &w) {
-        forEach([&w](const TraceEvent &e) {
-            const auto names = traceArgNames(e.type);
-            w.beginObject();
-            const char *ph = "i";
-            const char *name = toString(e.type);
-            if (e.type == TraceEventType::SamplingRoundStart) {
-                ph = "B";
-                name = "sampling_round";
-            } else if (e.type == TraceEventType::SamplingRoundEnd) {
-                ph = "E";
-                name = "sampling_round";
-            }
-            w.kv("name", name);
-            w.kv("ph", ph);
-            // ts nominally holds microseconds; we put the instruction
-            // count there so the viewer's time axis reads instructions.
-            w.kv("ts", static_cast<std::uint64_t>(e.inst));
-            w.kv("pid", 0);
-            w.kv("tid", 0);
-            if (ph[0] == 'i')
-                w.kv("s", "g"); // global-scope instant marker
-            w.key("args").beginObject();
-            for (std::size_t a = 0; a < names.size(); ++a)
-                w.kv(names[a], e.args[a]);
-            w.endObject();
-            w.endObject();
-        });
+    std::string buf = chunkBuffer();
+    buf += chromeDocOpen;
+    bool first = true;
+    forEach([&os, &buf, &first](const TraceEvent &e) {
+        if (!first)
+            buf += ',';
+        first = false;
+        // Sampling rounds are B/E duration pairs, the rest global
+        // instants.
+        const bool round = e.type == TraceEventType::SamplingRoundStart ||
+                           e.type == TraceEventType::SamplingRoundEnd;
+        buf += "{\"name\":\"";
+        buf += round ? "sampling_round" : toString(e.type);
+        buf += "\",\"ph\":\"";
+        buf += !round ? 'i'
+               : e.type == TraceEventType::SamplingRoundStart ? 'B'
+                                                               : 'E';
+        // ts nominally holds microseconds; we put the instruction
+        // count there so the viewer's time axis reads instructions.
+        buf += "\",\"ts\":";
+        appendU64(buf, e.inst);
+        buf += round ? ",\"pid\":0,\"tid\":0,\"args\":"
+                     : ",\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":";
+        appendArgs(buf, e, '{');
+        buf += "}}";
+        passChunk(os, buf);
     });
+    buf += "]}\n";
+    passChunk(os, buf, true);
 }
 
 // --------------------------------------------------------------------
@@ -707,64 +767,83 @@ SpanTrace::findOpen(std::uint64_t id)
 void
 SpanTrace::writeJsonl(std::ostream &os) const
 {
-    JsonWriter w(os);
-    forEach([&w, &os](const SpanRecord &r) {
-        w.beginObject();
-        w.kv("id", r.id);
-        w.kv("addr", static_cast<std::uint64_t>(r.addr));
-        w.kv("write", static_cast<std::uint64_t>(r.isWrite ? 1 : 0));
-        w.kv("hit_level", static_cast<std::uint64_t>(r.hitLevel));
-        w.kv("inst", static_cast<std::uint64_t>(r.inst));
-        w.kv("begin_ps", static_cast<std::uint64_t>(r.begin));
-        w.kv("end_ps", static_cast<std::uint64_t>(r.end));
-        w.key("stages").beginObject();
+    std::string buf = chunkBuffer();
+    forEach([&os, &buf](const SpanRecord &r) {
+        buf += "{\"id\":";
+        appendU64(buf, r.id);
+        buf += ",\"addr\":";
+        appendU64(buf, r.addr);
+        buf += r.isWrite ? ",\"write\":1,\"hit_level\":"
+                         : ",\"write\":0,\"hit_level\":";
+        appendU64(buf, static_cast<std::uint64_t>(r.hitLevel));
+        buf += ",\"inst\":";
+        appendU64(buf, r.inst);
+        buf += ",\"begin_ps\":";
+        appendU64(buf, r.begin);
+        buf += ",\"end_ps\":";
+        appendU64(buf, r.end);
+        buf += ",\"stages\":{";
+        char sep = '"';
         for (std::size_t s = 0; s < numSpanStages; ++s) {
             if (!((r.present >> s) & 1u))
                 continue;
-            w.key(toString(static_cast<SpanStage>(s)))
-                .beginArray()
-                .value(static_cast<std::uint64_t>(r.enter[s]))
-                .value(static_cast<std::uint64_t>(r.exit[s]))
-                .endArray();
+            if (sep == ',')
+                buf += ',';
+            sep = ',';
+            buf += '"';
+            buf += toString(static_cast<SpanStage>(s));
+            buf += "\":[";
+            appendU64(buf, r.enter[s]);
+            buf += ',';
+            appendU64(buf, r.exit[s]);
+            buf += ']';
         }
-        w.endObject();
-        w.endObject();
-        os << '\n';
+        buf += "}}\n";
+        passChunk(os, buf);
     });
+    passChunk(os, buf, true);
 }
 
 void
 SpanTrace::writeChromeTrace(std::ostream &os) const
 {
-    writeChromeDoc(os, [this](JsonWriter &w) {
-        // Name one track per component so stages nest visually.
-        for (std::size_t s = 0; s < numSpanStages; ++s)
-            chromeName(w, 1, static_cast<int>(s + 1),
-                       spanStageTrack(static_cast<SpanStage>(s)));
-        forEach([&w](const SpanRecord &r) {
-            for (std::size_t s = 0; s < numSpanStages; ++s) {
-                if (!((r.present >> s) & 1u))
-                    continue;
-                w.beginObject();
-                w.kv("name", toString(static_cast<SpanStage>(s)));
-                w.kv("ph", "X");
-                // ts nominally holds microseconds; we put Ticks
-                // (picoseconds) there, as EventTrace does instructions.
-                w.kv("ts", static_cast<std::uint64_t>(r.enter[s]));
-                w.kv("dur",
-                     static_cast<std::uint64_t>(r.exit[s] - r.enter[s]));
-                w.kv("pid", 1);
-                w.kv("tid", static_cast<std::uint64_t>(s + 1));
-                w.key("args").beginObject();
-                w.kv("id", r.id);
-                w.kv("addr", static_cast<std::uint64_t>(r.addr));
-                w.kv("hit_level",
-                     static_cast<std::uint64_t>(r.hitLevel));
-                w.endObject();
-                w.endObject();
-            }
-        });
+    std::string buf = chunkBuffer();
+    buf += chromeDocOpen;
+    // Name one track per component so stages nest visually.
+    for (std::size_t s = 0; s < numSpanStages; ++s) {
+        buf += s == 0 ? "{" : ",{";
+        buf += "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+        appendU64(buf, s + 1);
+        buf += ",\"args\":{\"name\":\"";
+        buf += spanStageTrack(static_cast<SpanStage>(s));
+        buf += "\"}}";
+    }
+    forEach([&os, &buf](const SpanRecord &r) {
+        for (std::size_t s = 0; s < numSpanStages; ++s) {
+            if (!((r.present >> s) & 1u))
+                continue;
+            buf += ",{\"name\":\"";
+            buf += toString(static_cast<SpanStage>(s));
+            // ts nominally holds microseconds; we put Ticks
+            // (picoseconds) there, as EventTrace does instructions.
+            buf += "\",\"ph\":\"X\",\"ts\":";
+            appendU64(buf, r.enter[s]);
+            buf += ",\"dur\":";
+            appendU64(buf, r.exit[s] - r.enter[s]);
+            buf += ",\"pid\":1,\"tid\":";
+            appendU64(buf, s + 1);
+            buf += ",\"args\":{\"id\":";
+            appendU64(buf, r.id);
+            buf += ",\"addr\":";
+            appendU64(buf, r.addr);
+            buf += ",\"hit_level\":";
+            appendU64(buf, static_cast<std::uint64_t>(r.hitLevel));
+            buf += "}}";
+        }
+        passChunk(os, buf);
     });
+    buf += "]}\n";
+    passChunk(os, buf, true);
 }
 
 // --------------------------------------------------------------------

@@ -57,9 +57,10 @@ formatFinite(char *first, double v)
         .ptr;
 }
 
-/** Append @p v to @p out as jsonNumber() spells it. */
+} // namespace
+
 void
-appendNumber(std::string &out, double v)
+appendJsonNumber(std::string &out, double v)
 {
     if (!std::isfinite(v)) {
         ++nonfiniteEmitted;
@@ -69,8 +70,6 @@ appendNumber(std::string &out, double v)
     char buf[numberChars];
     out.append(buf, formatFinite(buf, v));
 }
-
-} // namespace
 
 std::uint64_t
 jsonNonfiniteCount()
@@ -94,7 +93,7 @@ std::string
 jsonNumber(double v)
 {
     std::string s;
-    appendNumber(s, v);
+    appendJsonNumber(s, v);
     return s;
 }
 
@@ -222,7 +221,7 @@ JsonWriter &
 JsonWriter::value(double v)
 {
     separate();
-    appendNumber(buf, v);
+    appendJsonNumber(buf, v);
     return closed();
 }
 

@@ -26,6 +26,10 @@ namespace mct
  */
 std::string jsonNumber(double v);
 
+/** Append @p v to @p out as jsonNumber() spells it, counting a
+ *  non-finite value the same way. */
+void appendJsonNumber(std::string &out, double v);
+
 /** Non-finite values encountered by jsonNumber since the last reset. */
 std::uint64_t jsonNonfiniteCount();
 

@@ -1,7 +1,9 @@
 #include "common/serialize.hh"
 
-#include <bit>
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <new>
 
 namespace mct
 {
@@ -21,29 +23,6 @@ fnv1a(const void *data, std::size_t size, std::uint64_t seed)
 namespace
 {
 
-/** @p v's bytes, least significant first, on any host. */
-template <typename T>
-T
-littleEndian(T v)
-{
-    if constexpr (std::endian::native == std::endian::big) {
-        if constexpr (sizeof(T) == 8)
-            return __builtin_bswap64(v);
-        else
-            return __builtin_bswap32(v);
-    }
-    return v;
-}
-
-/** Append @p v's little-endian bytes to @p buf in one copy. */
-template <typename T>
-void
-appendWord(std::string &buf, T v)
-{
-    v = littleEndian(v);
-    buf.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
 /** Read the little-endian word at @p at in one copy. */
 template <typename T>
 T
@@ -57,31 +36,16 @@ loadWord(const unsigned char *at)
 } // namespace
 
 void
-Serializer::putU32(std::uint32_t v)
+Serializer::grow(std::size_t n)
 {
-    appendWord(buf, v);
-}
-
-void
-Serializer::putU64(std::uint64_t v)
-{
-    appendWord(buf, v);
-}
-
-void
-Serializer::putF64(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
-Serializer::putStr(std::string_view v)
-{
-    putU64(v.size());
-    buf.append(v.data(), v.size());
+    if (n > SIZE_MAX / 2 - len)
+        throw std::bad_alloc();
+    const std::size_t want = std::max({cap * 2, len + n, std::size_t{256}});
+    void *const moved = std::realloc(buf, want);
+    if (!moved)
+        throw std::bad_alloc();
+    buf = static_cast<char *>(moved);
+    cap = want;
 }
 
 const unsigned char *

@@ -32,8 +32,11 @@
 #define MCT_COMMON_SERIALIZE_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <string_view>
@@ -49,6 +52,20 @@ namespace mct
 std::uint64_t fnv1a(const void *data, std::size_t size,
                     std::uint64_t seed = 14695981039346656037ULL);
 
+/** @p v's bytes, least significant first, on any host. */
+template <typename T>
+constexpr T
+littleEndian(T v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 8)
+            return __builtin_bswap64(v);
+        else
+            return __builtin_bswap32(v);
+    }
+    return v;
+}
+
 /** Wire types a check() value may take: bool, u32 or u64. */
 template <typename T>
 constexpr bool checkWidth = std::is_same_v<T, bool> ||
@@ -58,6 +75,11 @@ constexpr bool checkWidth = std::is_same_v<T, bool> ||
 /**
  * Append-only binary encoder. All integers are written little-endian
  * at fixed width; doubles are written as their IEEE-754 bit pattern.
+ *
+ * The bytes live in one malloc'd buffer grown with std::realloc, which
+ * moves a large block by remapping its pages instead of copying them
+ * and keeps the pages already touched; a failed allocation throws
+ * std::bad_alloc.
  */
 class Serializer
 {
@@ -65,13 +87,46 @@ class Serializer
     /** Archive direction, for the rare io body that must branch. */
     static constexpr bool reading = false;
 
-    void putU8(std::uint8_t v) { buf.push_back(static_cast<char>(v)); }
+    Serializer() = default;
+    Serializer(const Serializer &other) { *this = other; }
+    Serializer(Serializer &&other) noexcept { *this = std::move(other); }
+    ~Serializer() { std::free(buf); }
+
+    Serializer &
+    operator=(const Serializer &other)
+    {
+        if (this != &other) {
+            len = 0;
+            append(other.buf, other.len);
+        }
+        return *this;
+    }
+
+    Serializer &
+    operator=(Serializer &&other) noexcept
+    {
+        if (this != &other) {
+            std::free(buf);
+            buf = std::exchange(other.buf, nullptr);
+            len = std::exchange(other.len, 0);
+            cap = std::exchange(other.cap, 0);
+        }
+        return *this;
+    }
+
+    void putU8(std::uint8_t v) { *room(1) = static_cast<char>(v); }
     void putBool(bool v) { putU8(v ? 1 : 0); }
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
+    void putU32(std::uint32_t v) { store(v); }
+    void putU64(std::uint64_t v) { store(v); }
     void putI64(std::int64_t v) { putU64(static_cast<std::uint64_t>(v)); }
-    void putF64(double v);
-    void putStr(std::string_view v);
+    void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    putStr(std::string_view v)
+    {
+        putU64(v.size());
+        append(v.data(), v.size());
+    }
 
     template <typename... T>
     void u8(const T &...v) { (putU8(static_cast<std::uint8_t>(v)), ...); }
@@ -148,13 +203,44 @@ class Serializer
     /** Write a u64 the reader requires to be below a limit. */
     void u64Below(std::uint64_t v, std::uint64_t) { putU64(v); }
 
-    /** The encoded bytes so far. */
-    const std::string &data() const { return buf; }
+    /** The encoded bytes so far; the view lasts until the next put. */
+    std::string_view data() const { return {buf, len}; }
 
-    std::size_t size() const { return buf.size(); }
+    std::size_t size() const { return len; }
 
   private:
-    std::string buf;
+    char *buf = nullptr;
+    std::size_t len = 0;
+    std::size_t cap = 0;
+
+    /** Claim the next @p n bytes, growing the buffer when short. */
+    char *
+    room(std::size_t n)
+    {
+        if (cap - len < n)
+            grow(n);
+        char *const at = buf + len;
+        len += n;
+        return at;
+    }
+
+    /** Make room for @p n more bytes: at least double the capacity. */
+    void grow(std::size_t n);
+
+    void
+    append(const void *p, std::size_t n)
+    {
+        if (n != 0)
+            std::memcpy(room(n), p, n);
+    }
+
+    template <typename T>
+    void
+    store(T v)
+    {
+        v = littleEndian(v);
+        std::memcpy(room(sizeof v), &v, sizeof v);
+    }
 };
 
 /**

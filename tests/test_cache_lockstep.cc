@@ -99,7 +99,7 @@ bytesOf(C &cache)
 {
     Serializer s;
     cache.io(s);
-    return s.data();
+    return std::string(s.data());
 }
 
 /**

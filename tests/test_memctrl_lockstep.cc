@@ -178,7 +178,7 @@ struct Side
         Serializer s;
         dev->io(s);
         ctrl->io(s);
-        return s.data();
+        return std::string(s.data());
     }
 };
 

@@ -37,7 +37,7 @@ bytesOf(const Workload &w)
 {
     Serializer s;
     w.serialize(s);
-    return s.data();
+    return std::string(s.data());
 }
 
 /** The model @p app as the concrete production generator. */
