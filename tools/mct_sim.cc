@@ -130,6 +130,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -402,6 +403,30 @@ printMetrics(const Metrics &m)
     std::printf("energy         %.5f J per Minst\n", m.energyJ);
 }
 
+/**
+ * Exit 2 when two of @p outputs, (flag, path) pairs, name one file
+ * once made absolute and normalized: the later write would replace
+ * the earlier one and the manifest would list one file twice. Empty
+ * paths are outputs not asked for.
+ */
+void
+refuseSharedOutputs(
+    std::initializer_list<std::pair<const char *, std::string>> outputs)
+{
+    std::map<std::filesystem::path, const char *> seen;
+    for (const auto &[flag, path] : outputs) {
+        if (path.empty())
+            continue;
+        const auto [it, fresh] = seen.emplace(
+            std::filesystem::absolute(path).lexically_normal(), flag);
+        if (!fresh) {
+            std::fprintf(stderr, "--%s and --%s name the same file '%s'\n",
+                         it->second, flag, path.c_str());
+            std::exit(2);
+        }
+    }
+}
+
 /** Telemetry destinations parsed from the common flags. */
 struct Telemetry
 {
@@ -529,6 +554,18 @@ telemetryFromArgs(const Args &args)
     // no window cadence there is nothing to observe.
     if ((t.wantsTimeline() || t.wantsAlerts()) && t.statsEvery == 0)
         mct_fatal("--timeline-out and --alerts require --stats-every");
+    refuseSharedOutputs({{"stats-json", t.statsJson},
+                         {"trace-out", t.traceOut},
+                         {"trace-chrome", t.traceChrome},
+                         {"spans-out", t.spansOut},
+                         {"spans-chrome", t.spansChrome},
+                         {"provenance-out", t.provOut},
+                         {"provenance-chrome", t.provChrome},
+                         {"host-profile-out", t.hostOut},
+                         {"host-profile-chrome", t.hostChrome},
+                         {"timeline-out", t.timelineOut},
+                         {"alerts-out", t.alertsOut},
+                         {"manifest-out", t.manifestOut}});
     return t;
 }
 
@@ -885,13 +922,24 @@ runMeasureArmed(System &sys, InstCount target, const Telemetry &t,
     return gStopRequested == 0;
 }
 
-/** Publish the final checkpoint of a preempted run and exit 75. */
+/**
+ * Publish the final checkpoint of a preempted run and exit 75, or
+ * exit 1 when it could not be published: with no slot to resume
+ * from, 75's "run me again with --resume" would only fail. The
+ * store's warning names the slot.
+ */
 int
 preempted(CkptSession &ck, const System &sys)
 {
-    ck.save();
-    std::printf("checkpoint     preempted at inst %llu\n",
-                static_cast<unsigned long long>(sys.retired()));
+    const auto inst = static_cast<unsigned long long>(sys.retired());
+    if (!ck.save()) {
+        std::fprintf(stderr,
+                     "stopped at inst %llu, but the final checkpoint "
+                     "was not published: nothing to resume\n",
+                     inst);
+        return 1;
+    }
+    std::printf("checkpoint     preempted at inst %llu\n", inst);
     return exitPreempted;
 }
 
@@ -982,17 +1030,39 @@ struct RunIdentity
 };
 
 /**
+ * Re-read artifacts[@p from..] from disk for their checksums and
+ * sizes, so the manifest attests to the published bytes, not to what
+ * the writer intended. False, with a message, when one cannot be read.
+ */
+bool
+checksumArtifacts(std::vector<ManifestArtifact> &artifacts,
+                  std::size_t from)
+{
+    for (std::size_t i = from; i < artifacts.size(); ++i) {
+        ManifestArtifact &a = artifacts[i];
+        if (!checksumFile(a.path, a.checksum, a.bytes)) {
+            std::fprintf(stderr, "cannot checksum '%s'\n",
+                         a.path.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
  * Publish the mct-manifest-v1 document naming this run and every
- * artifact it produced. Artifacts are re-read from disk for their
- * checksums, so the manifest attests to the published bytes, not to
- * what the writer intended.
+ * artifact it produced. The first @p summed artifacts already carry
+ * their checksums (checksumArtifacts); the rest are re-read here.
  */
 bool
 writeRunManifest(const std::string &path, const std::string &mode,
                  const std::string &app, const std::string &config,
                  const RunIdentity &rid,
-                 std::vector<ManifestArtifact> artifacts)
+                 std::vector<ManifestArtifact> artifacts,
+                 std::size_t summed = 0)
 {
+    if (!checksumArtifacts(artifacts, summed))
+        return false;
     RunManifest m;
     m.runId = manifestRunId(rid.fingerprint);
     m.mode = mode;
@@ -1002,14 +1072,6 @@ writeRunManifest(const std::string &path, const std::string &mode,
     m.faultPlan = rid.faultPlan;
     m.fingerprint = rid.fingerprint;
     for (ManifestArtifact &a : artifacts) {
-        std::uint64_t sum = 0, bytes = 0;
-        if (!checksumFile(a.path, sum, bytes)) {
-            std::fprintf(stderr, "cannot checksum '%s'\n",
-                         a.path.c_str());
-            return false;
-        }
-        a.checksum = sum;
-        a.bytes = bytes;
         a.path = manifestRelative(path, a.path);
         m.artifacts.push_back(std::move(a));
     }
@@ -1185,7 +1247,8 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
                            "cleared");
          }},
         // The host profile's own two rows come last: they report the
-        // emit stage, so it must have ended before they are written.
+        // emit.* stages, so those must have ended before they are
+        // written.
         {"host-profile", t.hostOut, "host", "mct-host-v1",
          [&](std::ostream &os) { hp->writeJson(os, mode, app, config); },
          [&] {
@@ -1199,21 +1262,36 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
     };
     const Surface *const firstHost = std::end(surfaces) - 2;
 
+    // Each surface before the host rows is charged to emit.<kind>,
+    // and the manifest's re-read of those surfaces to emit.manifest;
+    // the host files' own checksums and the manifest's write follow
+    // the host profile and are charged to no stage.
     std::vector<ManifestArtifact> artifacts;
-    std::optional<HostProfiler::Scope> emit(std::in_place, hp, "emit");
+    std::size_t summed = 0;
     for (const Surface &s : surfaces) {
         if (&s == firstHost) {
-            emit.reset();
+            if (!t.manifestOut.empty()) {
+                HostProfiler::Scope stage(hp, "emit.manifest");
+                if (!checksumArtifacts(artifacts, 0))
+                    return 1;
+                summed = artifacts.size();
+            }
             if (hp)
                 hp->sampleMemory(); // end-of-run RSS / high-water refresh
         }
         if (s.path.empty())
             continue;
-        AtomicFile f(s.path);
-        s.write(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n", s.path.c_str());
-            return 1;
+        {
+            const std::string name = std::string("emit.") + s.kind;
+            HostProfiler::Scope stage(&s < firstHost ? hp : nullptr,
+                                      name.c_str());
+            AtomicFile f(s.path);
+            s.write(f.stream());
+            if (!f.commit()) {
+                std::fprintf(stderr, "cannot write '%s'\n",
+                             s.path.c_str());
+                return 1;
+            }
         }
         std::printf("%-14s %s%s\n", s.label, s.path.c_str(),
                     s.summary ? s.summary().c_str() : "");
@@ -1221,7 +1299,7 @@ finishTelemetry(const Telemetry &t, const std::string &mode,
     }
     if (!t.manifestOut.empty() &&
         !writeRunManifest(t.manifestOut, mode, app, config, rid,
-                          std::move(artifacts)))
+                          std::move(artifacts), summed))
         return 1;
     return 0;
 }
@@ -1355,6 +1433,8 @@ cmdTrace(const Args &args)
     const auto count = args.getN<std::size_t>("ops", 100 * 1000);
     const auto seed = args.getN<std::uint64_t>("seed", 1);
     const std::string out = args.get("out", app + ".trace");
+    const std::string manifestOut = args.get("manifest-out", "");
+    refuseSharedOutputs({{"out", out}, {"manifest-out", manifestOut}});
     auto wl = makeWorkload(app, seed);
     const auto ops = captureTrace(*wl, count);
     std::ofstream os(out);
@@ -1366,7 +1446,6 @@ cmdTrace(const Args &args)
     os.close();
     std::printf("captured %zu operations of %s into %s\n", count,
                 app.c_str(), out.c_str());
-    const std::string manifestOut = args.get("manifest-out", "");
     if (!manifestOut.empty()) {
         std::ostringstream fp;
         fp << "mct-trace-fp-v1;app=" << app << ";ops=" << count
@@ -1511,6 +1590,9 @@ cmdSweep(const Args &args)
         std::fprintf(stderr, "--space must be full|noquota\n");
         return 2;
     }
+    const std::string csv = args.get("csv", app + "_sweep.csv");
+    const std::string manifestOut = args.get("manifest-out", "");
+    refuseSharedOutputs({{"csv", csv}, {"manifest-out", manifestOut}});
     const auto space = spaceName == "full" ? enumerateSpace()
                                            : enumerateNoQuotaSpace();
     const EvalParams ep = evalFromArgs(args);
@@ -1545,13 +1627,11 @@ cmdSweep(const Args &args)
                  fmt(metrics[i].lifetimeYears, 6),
                  fmt(metrics[i].energyJ, 8)});
     }
-    const std::string csv = args.get("csv", app + "_sweep.csv");
     if (!out.save(csv)) {
         std::fprintf(stderr, "cannot write %s\n", csv.c_str());
         return 1;
     }
     std::printf("wrote %zu rows to %s\n", space.size(), csv.c_str());
-    const std::string manifestOut = args.get("manifest-out", "");
     if (!manifestOut.empty()) {
         std::ostringstream fp;
         fp << "mct-sweep-fp-v1;app=" << app << ";space=" << spaceName
